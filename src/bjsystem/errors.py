@@ -10,7 +10,7 @@ class SingularCurveError(DomainError):
 
 
 class HyperbolicityError(ArithmeticError):
-    """Eigenvalues failed to be real and distinct at a state."""
+    """Eigenvalues failed to be strictly ordered by family at a state."""
 
     def __init__(self, message, state=None):
         super().__init__(message)

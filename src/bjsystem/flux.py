@@ -13,12 +13,17 @@ strictly hyperbolic; for eta > 0 all three characteristic fields are
 genuinely nonlinear (the third with the reversed orientation, so that
 grad(lambda_3) . r_3 < 0).
 
-Useful structure exploited throughout the package: (1, 0, v) and
-(1, 0, v - 2) are eigenvectors of DF(U) for *every* eta, with eigenvalues
--4 + eta(2w - 2uv + 4u) and 4 + eta(2w - 2uv); the trace then forces the
-middle eigenvalue to be exactly 2v.  The public eigensystem path still
-computes the roots of the characteristic cubic and only uses the closed
-forms after checking them against the eigenpair residual.
+The characteristic structure has closed forms for every eta, and every
+eigen-quantity below is computed from them:
+
+    lambda_1 = -4 + eta(2w - 2uv + 4u),  r_1 = (1, 0, v),
+    lambda_2 = 2v,                        r_2 = (r_u, 1, r_w),
+    lambda_3 =  4 + eta(2w - 2uv),        r_3 = (1, 0, v - 2),
+
+where r_2 solves two rows of (DF - 2v I) r = 0.  Hence
+grad(lambda_1) . r_1 = 4 eta, grad(lambda_2) . r_2 = 2 and
+grad(lambda_3) . r_3 = -4 eta exactly.  Eigenvalues are returned in family
+order; a state where that order is not strict is rejected.
 """
 
 from dataclasses import dataclass, field
@@ -29,10 +34,7 @@ from .errors import DomainError, HyperbolicityError
 
 ETA_MAX = 0.25
 TOL_EIG = 1e-10
-H_GNL = 1e-5
 GNL_MARGIN = 1e-6
-
-_TWO_PI_THIRDS = 2.0 * np.pi / 3.0
 
 
 @dataclass(frozen=True)
@@ -74,13 +76,19 @@ def p3(U) -> np.ndarray:
     return w * w - u * u * (v - 2.0) * v
 
 
-def flux(U, params: ModelParams) -> np.ndarray:
-    """Evaluate F(U).  Accepts a single state (3,) or a batch (..., 3)."""
+def _states(U, caller: str) -> np.ndarray:
+    """Coerce to a finite float array of states with last axis of size 3."""
     U = np.asarray(U, dtype=float)
     if U.shape[-1] != 3:
         raise DomainError(f"state array must end in axis of size 3, got {U.shape}")
     if not np.all(np.isfinite(U)):
-        raise DomainError("non-finite state passed to flux")
+        raise DomainError(f"non-finite state passed to {caller}")
+    return U
+
+
+def flux(U, params: ModelParams) -> np.ndarray:
+    """Evaluate F(U).  Accepts a single state (3,) or a batch (..., 3)."""
+    U = _states(U, "flux")
     u, v, w = U[..., 0], U[..., 1], U[..., 2]
     eta = params.eta
     out = np.empty_like(U)
@@ -92,11 +100,7 @@ def flux(U, params: ModelParams) -> np.ndarray:
 
 def jacobian(U, params: ModelParams) -> np.ndarray:
     """Analytic Jacobian DF(U), shape (..., 3, 3)."""
-    U = np.asarray(U, dtype=float)
-    if U.shape[-1] != 3:
-        raise DomainError(f"state array must end in axis of size 3, got {U.shape}")
-    if not np.all(np.isfinite(U)):
-        raise DomainError("non-finite state passed to jacobian")
+    U = _states(U, "jacobian")
     u, v, w = U[..., 0], U[..., 1], U[..., 2]
     eta = params.eta
     J = np.zeros(U.shape[:-1] + (3, 3), dtype=float)
@@ -122,64 +126,31 @@ def uw_block(v) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial and eigen machinery
-
-
-def _char_coeffs(J):
-    """Coefficients (c2, c1, c0) of det(lam I - J) = lam^3 + c2 lam^2 + c1 lam + c0."""
-    a, b, c = J[..., 0, 0], J[..., 0, 1], J[..., 0, 2]
-    d, e, f = J[..., 1, 0], J[..., 1, 1], J[..., 1, 2]
-    g, h, i = J[..., 2, 0], J[..., 2, 1], J[..., 2, 2]
-    tr = a + e + i
-    minors = (a * e - b * d) + (a * i - c * g) + (e * i - f * h)
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return -tr, minors, -det
-
-
-def _cubic_roots_sorted(c2, c1, c0):
-    """Real roots of lam^3 + c2 lam^2 + c1 lam + c0, ascending.
-
-    Trigonometric closed form for the three-real-root branch, followed by two
-    Newton polish sweeps on the original cubic.  Returns (roots, ok) where ok
-    flags entries whose discriminant is consistent with three real roots.
-    """
-    c2 = np.atleast_1d(np.asarray(c2, dtype=float))
-    c1 = np.atleast_1d(np.asarray(c1, dtype=float))
-    c0 = np.atleast_1d(np.asarray(c0, dtype=float))
-    p = c1 - c2 * c2 / 3.0
-    q = 2.0 * c2 ** 3 / 27.0 - c2 * c1 / 3.0 + c0
-    disc = 4.0 * p ** 3 + 27.0 * q * q
-    scale = np.maximum(np.abs(p) ** 3, 27.0 * q * q) + 1e-300
-    ok = disc <= 1e-9 * scale
-    p_safe = np.minimum(p, -1e-300)
-    m = 2.0 * np.sqrt(-p_safe / 3.0)
-    arg = np.clip(3.0 * q / (p_safe * m), -1.0, 1.0)
-    theta = np.arccos(arg) / 3.0
-    k = np.arange(3.0)
-    lam = m[..., None] * np.cos(theta[..., None] - _TWO_PI_THIRDS * k) - (c2 / 3.0)[..., None]
-    for _ in range(2):
-        f = ((lam + c2[..., None]) * lam + c1[..., None]) * lam + c0[..., None]
-        fp = (3.0 * lam + 2.0 * c2[..., None]) * lam + c1[..., None]
-        fp = np.where(np.abs(fp) > 1e-300, fp, 1.0)
-        lam = lam - f / fp
-    lam.sort(axis=-1)
-    return lam, ok
+# closed-form eigenstructure
 
 
 def eigenvalues_batch(U, params: ModelParams):
-    """Sorted eigenvalues for a batch of states.  Returns (lam, ok_mask)."""
-    J = jacobian(U, params)
-    return _cubic_roots_sorted(*_char_coeffs(J))
+    """Eigenvalues in family order for a state or a batch of states (..., 3).
+
+    Returns (lam, ok) where ok flags strict ordering lambda_1 < lambda_2 < lambda_3.
+    """
+    U = _states(U, "eigenvalues_batch")
+    u, v, w = U[..., 0], U[..., 1], U[..., 2]
+    eta = params.eta
+    shift = eta * (2.0 * w - 2.0 * u * v)
+    lam = np.stack([-4.0 + shift + 4.0 * eta * u, 2.0 * v, 4.0 + shift], axis=-1)
+    ok = (lam[..., 0] < lam[..., 1]) & (lam[..., 1] < lam[..., 2])
+    return lam, ok
 
 
 def eigenvalues(U, params: ModelParams) -> np.ndarray:
-    """Sorted eigenvalues of DF at a single state; raises on failure."""
+    """Eigenvalues of DF at a single state in family order; raises unless strictly ordered."""
     U = as_state(U)
-    lam, ok = eigenvalues_batch(U[None, :], params)
-    lam = lam[0]
-    if not ok[0] or not (lam[0] < lam[1] < lam[2]):
+    lam, ok = eigenvalues_batch(U, params)
+    if not ok:
         raise HyperbolicityError(
-            f"eigenvalues not real and distinct at U={U.tolist()}, eta={params.eta}",
+            f"eigenvalues {lam.tolist()} not strictly ordered by family at "
+            f"U={U.tolist()}, eta={params.eta}",
             state=U,
         )
     return lam
@@ -187,17 +158,11 @@ def eigenvalues(U, params: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Sorted eigenvalues with right eigenvectors (rows of rvec)."""
+    """Eigenvalues in family order with right eigenvectors (rows of rvec)."""
 
     lam: np.ndarray
     rvec: np.ndarray
     residuals: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-
-def _null_vector(M):
-    """Unit right null vector of a (near) singular 3x3 matrix."""
-    _, _, vt = np.linalg.svd(M)
-    return vt[-1]
 
 
 def _r2_uw(J, lam2):
@@ -231,42 +196,17 @@ def eigensystem(U, params: ModelParams, tol: float = TOL_EIG) -> EigenSystem:
     """Full eigensystem at a state.
 
     Families 1 and 3 return the straight-line eigenvectors (1, 0, v) and
-    (1, 0, v-2) whenever their eigenpair residual is below `tol` (it always
-    is for this flux family); the middle eigenvector is normalized to
-    v-component 1.  A numerical null-space solve is the fallback.
+    (1, 0, v-2); the middle eigenvector is normalized to v-component 1.
+    Raises HyperbolicityError when the eigenvalues are not strictly ordered
+    or an eigenpair residual |DF r - lambda r| exceeds `tol`.
     """
     U = as_state(U)
     lam = eigenvalues(U, params)
     J = jacobian(U, params)
     v = U[1]
-
-    def resid(r, l):
-        return float(np.linalg.norm(J @ r - l * r))
-
-    r1 = np.array([1.0, 0.0, v])
-    if resid(r1, lam[0]) > tol:
-        r1 = _null_vector(J - lam[0] * np.eye(3))
-        if abs(r1[0]) < 1e-12:
-            raise HyperbolicityError("family-1 eigenvector has vanishing u-component", state=U)
-        r1 = r1 / r1[0]
-
-    r3 = np.array([1.0, 0.0, v - 2.0])
-    if resid(r3, lam[2]) > tol:
-        r3 = _null_vector(J - lam[2] * np.eye(3))
-        if abs(r3[0]) < 1e-12:
-            raise HyperbolicityError("family-3 eigenvector has vanishing u-component", state=U)
-        r3 = r3 / r3[0]
-
     ru, rw = _r2_uw(J, lam[1])
-    r2 = np.array([ru, 1.0, rw])
-    if resid(r2, lam[1]) > tol:
-        r2 = _null_vector(J - lam[1] * np.eye(3))
-        if abs(r2[1]) < 1e-12:
-            raise HyperbolicityError("family-2 eigenvector has vanishing v-component", state=U)
-        r2 = r2 / r2[1]
-
-    rvec = np.vstack([r1, r2, r3])
-    residuals = np.array([resid(rvec[i], lam[i]) for i in range(3)])
+    rvec = np.array([[1.0, 0.0, v], [ru, 1.0, rw], [1.0, 0.0, v - 2.0]])
+    residuals = np.linalg.norm(rvec @ J.T - lam[:, None] * rvec, axis=1)
     if residuals.max() > tol:
         raise HyperbolicityError(
             f"eigenpair residual {residuals.max():.3e} above tolerance {tol:.1e}", state=U
@@ -365,7 +305,6 @@ class GenuineNonlinearityReport:
     radius: float
     n_samples: int
     seed: int
-    step: float
     family1: tuple
     family2: tuple
     family3: tuple
@@ -380,40 +319,39 @@ def check_genuine_nonlinearity(
     radius: float = 0.5,
     n_samples: int = 2000,
     seed: int = 0,
-    step: float = H_GNL,
 ) -> GenuineNonlinearityReport:
     """Report min/max of grad(lambda_i) . r_i per family over a ball sample.
 
-    Gradients use central finite differences with the given step.  Family 3
-    carries the reversed orientation, so genuine nonlinearity shows up there
-    as values bounded away from zero *below*.  At eta = 0 families 1 and 3
-    are linearly degenerate and are reported as such.
+    Each sample dots the analytic eigenvalue gradients
+
+        grad(lambda_1) = eta (4 - 2v, -2u, 2),
+        grad(lambda_2) = (0, 2, 0),
+        grad(lambda_3) = eta (-2v, -2u, 2)
+
+    with the closed-form eigenvectors.  Family 3 carries the reversed
+    orientation, so genuine nonlinearity shows up there as values bounded
+    away from zero *below*.  At eta = 0 families 1 and 3 are linearly
+    degenerate and are reported as such.
     """
     if not 0.0 <= radius < 1.0:
         raise DomainError(f"radius must lie in [0, 1), got {radius}")
     U = sample_ball(n_samples, radius, seed)
     n = len(U)
-    lam, _ = eigenvalues_batch(U, params)
-    grad = np.empty((n, 3, 3))
-    for k in range(3):
-        Up = U.copy()
-        Up[:, k] += step
-        Um = U.copy()
-        Um[:, k] -= step
-        lp, _ = eigenvalues_batch(Up, params)
-        lm, _ = eigenvalues_batch(Um, params)
-        grad[:, :, k] = (lp - lm) / (2.0 * step)
+    u, v = U[:, 0], U[:, 1]
+    eta = params.eta
+    ones, zeros = np.ones(n), np.zeros(n)
+    grad1 = eta * np.column_stack([4.0 - 2.0 * v, -2.0 * u, 2.0 * ones])
+    grad2 = np.column_stack([zeros, 2.0 * ones, zeros])
+    grad3 = eta * np.column_stack([-2.0 * v, -2.0 * u, 2.0 * ones])
 
-    v = U[:, 1]
-    r1 = np.column_stack([np.ones(n), np.zeros(n), v])
-    r3 = np.column_stack([np.ones(n), np.zeros(n), v - 2.0])
-    J = jacobian(U, params)
-    ru, rw = _r2_uw(J, lam[:, 1])
-    r2 = np.column_stack([ru, np.ones(n), rw])
+    r1 = np.column_stack([ones, zeros, v])
+    r3 = np.column_stack([ones, zeros, v - 2.0])
+    ru, rw = _r2_uw(jacobian(U, params), 2.0 * v)
+    r2 = np.column_stack([ru, ones, rw])
 
-    g1 = np.einsum("nk,nk->n", grad[:, 0, :], r1)
-    g2 = np.einsum("nk,nk->n", grad[:, 1, :], r2)
-    g3 = np.einsum("nk,nk->n", grad[:, 2, :], r3)
+    g1 = np.einsum("nk,nk->n", grad1, r1)
+    g2 = np.einsum("nk,nk->n", grad2, r2)
+    g3 = np.einsum("nk,nk->n", grad3, r3)
 
     f1 = (float(g1.min()), float(g1.max()))
     f2 = (float(g2.min()), float(g2.max()))
@@ -429,7 +367,6 @@ def check_genuine_nonlinearity(
         radius=radius,
         n_samples=n,
         seed=seed,
-        step=step,
         family1=f1,
         family2=f2,
         family3=f3,

@@ -23,7 +23,6 @@ TOL_ZERO = 1e-13
 SOLVER_TOL = 1e-12
 MAX_ITER = 100
 FD_STEP = 1e-7
-BISECT_TOL = 1e-12
 
 SHOCK = "shock"
 RAREFACTION = "rarefaction"
@@ -197,25 +196,17 @@ def solve_riemann(
 def _sample_rarefaction(wave: Wave, xi: float, params: ModelParams) -> np.ndarray:
     """State inside a rarefaction fan at similarity speed xi.
 
-    Bisection on the curve parameter t in [0, strength]: the family speed is
-    monotone from the left edge to the right edge of the fan.
+    The family speed is affine in the curve parameter t: lambda_2 = 2(v_left + t)
+    along the 2-curve, and lambda_1, lambda_3 change by +4 eta t, -4 eta t
+    along their straight lines.  So xi fixes t exactly (clamped to
+    [0, strength]) and one curve evaluation gives the state.
     """
-    lam_left, lam_right = wave.speed
-
-    def lam_at(t: float) -> float:
-        state = wc.rarefaction(wave.family, wave.left, t, params).state
-        return float(eigenvalues(state, params)[wave.family - 1])
-
-    a, b = 0.0, wave.strength
-    fa = lam_left - xi
-    while abs(b - a) > BISECT_TOL:
-        mid = 0.5 * (a + b)
-        fm = lam_at(mid) - xi
-        if fa * fm <= 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    t = 0.5 * (a + b)
+    if wave.family == 2:
+        t = 0.5 * xi - wave.left[1]
+    else:
+        slope = 4.0 * params.eta if wave.family == 1 else -4.0 * params.eta
+        t = (xi - wave.speed[0]) / slope
+    t = min(max(t, min(0.0, wave.strength)), max(0.0, wave.strength))
     return wc.rarefaction(wave.family, wave.left, t, params).state
 
 

@@ -1,0 +1,117 @@
+"""General-purpose numerics kept as independent oracles for the closed forms.
+
+The library computes the eigenstructure, the nonlinearity factors and the
+states inside rarefaction fans from closed forms.  These routines reach the
+same quantities without them: the roots of the characteristic cubic of the
+Jacobian, SVD null vectors, central finite differences of the roots, and
+bisection on the family speed along the rarefaction curve.
+"""
+
+import numpy as np
+
+import bjsystem.flux as fx
+import bjsystem.wavecurves as wc
+
+_TWO_PI_THIRDS = 2.0 * np.pi / 3.0
+
+
+def char_coeffs(J):
+    """Coefficients (c2, c1, c0) of det(lam I - J) = lam^3 + c2 lam^2 + c1 lam + c0."""
+    a, b, c = J[..., 0, 0], J[..., 0, 1], J[..., 0, 2]
+    d, e, f = J[..., 1, 0], J[..., 1, 1], J[..., 1, 2]
+    g, h, i = J[..., 2, 0], J[..., 2, 1], J[..., 2, 2]
+    tr = a + e + i
+    minors = (a * e - b * d) + (a * i - c * g) + (e * i - f * h)
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return -tr, minors, -det
+
+
+def cubic_roots_sorted(c2, c1, c0):
+    """Real roots of lam^3 + c2 lam^2 + c1 lam + c0, ascending.
+
+    Trigonometric closed form for the three-real-root branch, followed by two
+    Newton polish sweeps on the original cubic.  Returns (roots, ok) where ok
+    flags entries whose discriminant is consistent with three real roots.
+    """
+    c2 = np.atleast_1d(np.asarray(c2, dtype=float))
+    c1 = np.atleast_1d(np.asarray(c1, dtype=float))
+    c0 = np.atleast_1d(np.asarray(c0, dtype=float))
+    p = c1 - c2 * c2 / 3.0
+    q = 2.0 * c2 ** 3 / 27.0 - c2 * c1 / 3.0 + c0
+    disc = 4.0 * p ** 3 + 27.0 * q * q
+    scale = np.maximum(np.abs(p) ** 3, 27.0 * q * q) + 1e-300
+    ok = disc <= 1e-9 * scale
+    p_safe = np.minimum(p, -1e-300)
+    m = 2.0 * np.sqrt(-p_safe / 3.0)
+    arg = np.clip(3.0 * q / (p_safe * m), -1.0, 1.0)
+    theta = np.arccos(arg) / 3.0
+    k = np.arange(3.0)
+    lam = m[..., None] * np.cos(theta[..., None] - _TWO_PI_THIRDS * k) - (c2 / 3.0)[..., None]
+    for _ in range(2):
+        f = ((lam + c2[..., None]) * lam + c1[..., None]) * lam + c0[..., None]
+        fp = (3.0 * lam + 2.0 * c2[..., None]) * lam + c1[..., None]
+        fp = np.where(np.abs(fp) > 1e-300, fp, 1.0)
+        lam = lam - f / fp
+    lam.sort(axis=-1)
+    return lam, ok
+
+
+def cubic_eigenvalues(U, params):
+    """Sorted roots of the characteristic cubic of DF for a batch of states."""
+    return cubic_roots_sorted(*char_coeffs(fx.jacobian(U, params)))
+
+
+def null_vector(M):
+    """Unit right null vectors of a batch of (near) singular 3x3 matrices."""
+    _, _, vt = np.linalg.svd(M)
+    return vt[..., -1, :]
+
+
+def fd_nonlinearity(U, params, step=1e-5):
+    """grad(lambda_i) . r_i per state and family from central differences of the cubic roots.
+
+    The eigenvectors are the SVD null vectors of DF - lambda_i I, scaled to
+    u-component 1 for families 1 and 3 and v-component 1 for family 2.
+    Returns an array of shape (n, 3).
+    """
+    lam, _ = cubic_eigenvalues(U, params)
+    grad = np.empty(U.shape + (3,))
+    for k in range(3):
+        dU = np.zeros(3)
+        dU[k] = step
+        lp, _ = cubic_eigenvalues(U + dU, params)
+        lm, _ = cubic_eigenvalues(U - dU, params)
+        grad[:, :, k] = (lp - lm) / (2.0 * step)
+    J = fx.jacobian(U, params)
+    out = np.empty(U.shape)
+    for i, pivot in enumerate((0, 1, 0)):
+        r = null_vector(J - lam[:, i, None, None] * np.eye(3))
+        r = r / r[:, pivot, None]
+        out[:, i] = np.einsum("nk,nk->n", grad[:, i, :], r)
+    return out
+
+
+def bisect_rarefaction(wave, xi, params, tol=1e-12):
+    """State inside a rarefaction fan at speed xi by bisection on the curve parameter.
+
+    The family speed is monotone from the left edge to the right edge of the
+    fan; each bisection step integrates the rarefaction curve from the left
+    state and evaluates the family speed there.
+    """
+    lam_left = wave.speed[0]
+
+    def lam_at(t):
+        state = wc.rarefaction(wave.family, wave.left, t, params).state
+        return float(fx.eigenvalues(state, params)[wave.family - 1])
+
+    a, b = 0.0, wave.strength
+    fa = lam_left - xi
+    while abs(b - a) > tol:
+        mid = 0.5 * (a + b)
+        fm = lam_at(mid) - xi
+        if fa * fm <= 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    t = 0.5 * (a + b)
+    return wc.rarefaction(wave.family, wave.left, t, params).state

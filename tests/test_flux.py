@@ -1,16 +1,19 @@
 """Flux, Jacobian and eigenstructure tests.
 
-Independent oracles: central finite differences for the Jacobian, and
-numpy.linalg.eigvals for the characteristic speeds (our implementation roots
-the characteristic cubic itself, so LAPACK is a genuinely different path).
+Independent oracles: central finite differences for the Jacobian,
+numpy.linalg.eigvals for the characteristic speeds, and the general numerics
+of `oracles` (roots of the characteristic cubic, SVD null vectors, finite
+differences of the roots) for the closed-form eigenstructure.
 """
 
 import numpy as np
 import pytest
 
 import bjsystem.flux as fx
-from bjsystem.errors import DomainError
+from bjsystem.errors import DomainError, HyperbolicityError
 from bjsystem.flux import ModelParams
+
+import oracles
 
 
 def fd_jacobian(U, params, h=1e-5):
@@ -182,7 +185,7 @@ def test_hyperbolicity_radius_validation():
 def test_genuine_nonlinearity_eta_positive():
     report = fx.check_genuine_nonlinearity(ModelParams(0.1), radius=0.5, n_samples=1000)
     assert report.passed
-    # the exact values are 4 eta, 2 and -4 eta; finite differences see them to ~1e-9
+    # the exact values are 4 eta, 2 and -4 eta
     assert abs(report.family1[0] - 0.4) <= 1e-6 and abs(report.family1[1] - 0.4) <= 1e-6
     assert abs(report.family2[0] - 2.0) <= 1e-6 and abs(report.family2[1] - 2.0) <= 1e-6
     assert report.family3[1] < -1e-6
@@ -208,3 +211,47 @@ def test_r2_direction_is_eigenvector():
             J = fx.jacobian(U, params)
             assert np.linalg.norm(J @ r2 - 2.0 * U[1] * r2) <= 1e-12
             assert r2[1] == 1.0
+
+
+def test_eigenvalues_raise_where_families_cross():
+    # lambda = (-4, 5, 4) in family order: families 2 and 3 have crossed
+    U = np.array([0.0, 2.5, 0.0])
+    with pytest.raises(HyperbolicityError):
+        fx.eigenvalues(U, ModelParams(0.0))
+    lam, ok = fx.eigenvalues_batch(U[None, :], ModelParams(0.0))
+    assert np.array_equal(lam[0], [-4.0, 5.0, 4.0])
+    assert not ok[0]
+
+
+def ball_sample(rng, n, radius):
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    return radius * rng.uniform(size=(n, 1)) ** (1.0 / 3.0) * direction
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.01, 0.1, 0.2, 0.2499])
+def test_closed_forms_match_cubic_and_svd_oracles(eta):
+    params = ModelParams(eta)
+    U = ball_sample(np.random.default_rng(2015), 2000, 0.99)
+    lam, ok = fx.eigenvalues_batch(U, params)
+    lam_cubic, ok_cubic = oracles.cubic_eigenvalues(U, params)
+    assert np.all(ok) and np.all(ok_cubic)
+    assert np.max(np.abs(lam - lam_cubic)) <= 1e-13
+    J = fx.jacobian(U, params)
+    rvec = np.array([fx.eigensystem(state, params).rvec for state in U])
+    for i in range(3):
+        null = oracles.null_vector(J - lam[:, i, None, None] * np.eye(3))
+        r = rvec[:, i, :]
+        sine = np.linalg.norm(np.cross(r, null), axis=1) / np.linalg.norm(r, axis=1)
+        assert sine.max() <= 1e-12
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.01, 0.1, 0.2])
+def test_genuine_nonlinearity_matches_finite_difference_oracle(eta):
+    # the criterion-3 sample sets
+    params = ModelParams(eta)
+    report = fx.check_genuine_nonlinearity(params, radius=0.89, n_samples=10000, seed=1)
+    fd = oracles.fd_nonlinearity(fx.sample_ball(10000, 0.89, seed=1), params)
+    for i, family in enumerate((report.family1, report.family2, report.family3)):
+        assert abs(family[0] - fd[:, i].min()) <= 1e-6
+        assert abs(family[1] - fd[:, i].max()) <= 1e-6

@@ -17,6 +17,8 @@ from bjsystem.riemann import (
     solve_riemann,
 )
 
+import oracles
+
 P0 = ModelParams(0.0)
 
 
@@ -143,6 +145,22 @@ def test_evaluate_fan_inside_rarefaction():
         assert abs(state[1] - xi / 2.0) <= 1e-8
         lam = fx.eigenvalues(state, P0)
         assert abs(lam[1] - xi) <= 1e-8
+
+
+@pytest.mark.parametrize("eta", [0.05, 0.2])
+def test_fan_sampling_matches_bisection_oracle(eta):
+    params = ModelParams(eta)
+    Ul = np.array([0.2, -0.1, -0.15])
+    fan = solve_riemann(Ul, compose(Ul, (0.08, 0.05, -0.08), params), params)
+    assert [(w.family, w.kind) for w in fan.waves] == [
+        (1, RAREFACTION), (2, RAREFACTION), (3, RAREFACTION)
+    ]
+    for wave in fan.waves:
+        for xi in np.linspace(*wave.speed, 5):
+            state = evaluate_fan(fan, xi)
+            oracle = oracles.bisect_rarefaction(wave, xi, params)
+            assert np.max(np.abs(state - oracle)) <= 1e-11
+            assert abs(fx.eigenvalues(state, params)[wave.family - 1] - xi) <= 1e-12
 
 
 def test_evaluate_fan_rejects_nonfinite():

@@ -207,7 +207,7 @@ def test_lax_zero_strength_contact():
     base = np.array([0.1, 0.2, -0.1])
     check = wc.lax_admissible(2, base, base, 2.0 * base[1], P0)
     assert check.admissible
-    # zero up to the rounding of the characteristic-cubic roots
+    # lambda2 = 2v on both sides, so both margins vanish
     assert abs(check.left_margin) <= 1e-12 and abs(check.right_margin) <= 1e-12
 
 

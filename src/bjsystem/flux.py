@@ -24,8 +24,16 @@ where r_2 solves two rows of (DF - 2v I) r = 0.  Hence
 grad(lambda_1) . r_1 = 4 eta, grad(lambda_2) . r_2 = 2 and
 grad(lambda_3) . r_3 = -4 eta exactly.  Eigenvalues are returned in family
 order; a state where that order is not strict is rejected.
+
+Every formula is written once, over the components (u, v, w).  A single
+state (3,) hands them over as Python floats (`tolist()`), so one evaluation
+costs float arithmetic instead of numpy's per-operation overhead on 0-d
+arrays; a batch (..., 3) hands over the [..., k] slices.  Both are IEEE
+double arithmetic in the same operation order, so a single state gives
+exactly the row a batch gives.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,12 +58,23 @@ class ModelParams:
         object.__setattr__(self, "eta", eta)
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Exact finiteness test that usually costs one sum.
+
+    Any inf or nan makes the sum non-finite, so a finite sum settles it; a
+    sum that overflows from finite terms (1e308 + 1e308) falls back to the
+    test per element.  A single state is summed as floats.
+    """
+    total = sum(arr.tolist()) if arr.ndim == 1 else arr.sum()
+    return math.isfinite(total) or bool(np.isfinite(arr).all())
+
+
 def as_state(U) -> np.ndarray:
     """Coerce to a finite (3,) float array."""
     arr = np.asarray(U, dtype=float)
     if arr.shape != (3,):
         raise DomainError(f"state must have shape (3,), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise DomainError(f"state has non-finite components: {arr}")
     return arr
 
@@ -64,16 +83,41 @@ def in_unit_ball(U, radius: float = 1.0) -> bool:
     return bool(np.linalg.norm(U) < radius)
 
 
-def p1(U) -> np.ndarray:
-    U = np.asarray(U, dtype=float)
-    u, v, w = U[..., 0], U[..., 1], U[..., 2]
+def _entries(A: np.ndarray, rank: int):
+    """Entries of one state (rank 1) or matrix (rank 2), or of a batch of them.
+
+    A single one gives nested Python floats; a batch gives a view indexed the
+    same way ([k] or [i][k]) whose entries are the [..., k] or [..., i, k]
+    slices.
+    """
+    if A.ndim == rank:
+        return A.tolist()
+    return np.moveaxis(A, tuple(range(-rank, 0)), tuple(range(rank)))
+
+
+def _pack(entries, batch_shape: tuple) -> np.ndarray:
+    """Inverse of `_entries`: an array of shape batch_shape + the nesting of entries."""
+    if not batch_shape:
+        return np.array(entries)
+    if isinstance(entries, list):
+        return np.stack([_pack(e, batch_shape) for e in entries], axis=len(batch_shape))
+    return np.broadcast_to(entries, batch_shape)
+
+
+def _p1(u, v, w):
     return 2.0 * u * w - 2.0 * u * u * (v - 1.0)
 
 
-def p3(U) -> np.ndarray:
-    U = np.asarray(U, dtype=float)
-    u, v, w = U[..., 0], U[..., 1], U[..., 2]
+def _p3(u, v, w):
     return w * w - u * u * (v - 2.0) * v
+
+
+def p1(U):
+    return _p1(*_entries(np.asarray(U, dtype=float), 1))
+
+
+def p3(U):
+    return _p3(*_entries(np.asarray(U, dtype=float), 1))
 
 
 def _states(U, caller: str) -> np.ndarray:
@@ -81,7 +125,7 @@ def _states(U, caller: str) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     if U.shape[-1] != 3:
         raise DomainError(f"state array must end in axis of size 3, got {U.shape}")
-    if not np.all(np.isfinite(U)):
+    if not _all_finite(U):
         raise DomainError(f"non-finite state passed to {caller}")
     return U
 
@@ -89,29 +133,39 @@ def _states(U, caller: str) -> np.ndarray:
 def flux(U, params: ModelParams) -> np.ndarray:
     """Evaluate F(U).  Accepts a single state (3,) or a batch (..., 3)."""
     U = _states(U, "flux")
-    u, v, w = U[..., 0], U[..., 1], U[..., 2]
+    u, v, w = _entries(U, 1)
     eta = params.eta
-    out = np.empty_like(U)
-    out[..., 0] = 4.0 * ((v - 1.0) * u - w) + eta * (2.0 * u * w - 2.0 * u * u * (v - 1.0))
-    out[..., 1] = v * v
-    out[..., 2] = 4.0 * (v * (v - 2.0) * u - (v - 1.0) * w) + eta * (w * w - u * u * (v - 2.0) * v)
-    return out
+    return _pack(
+        [
+            4.0 * ((v - 1.0) * u - w) + eta * _p1(u, v, w),
+            v * v,
+            4.0 * (v * (v - 2.0) * u - (v - 1.0) * w) + eta * _p3(u, v, w),
+        ],
+        U.shape[:-1],
+    )
 
 
 def jacobian(U, params: ModelParams) -> np.ndarray:
     """Analytic Jacobian DF(U), shape (..., 3, 3)."""
     U = _states(U, "jacobian")
-    u, v, w = U[..., 0], U[..., 1], U[..., 2]
+    u, v, w = _entries(U, 1)
     eta = params.eta
-    J = np.zeros(U.shape[:-1] + (3, 3), dtype=float)
-    J[..., 0, 0] = 4.0 * (v - 1.0) + eta * (2.0 * w - 4.0 * u * (v - 1.0))
-    J[..., 0, 1] = 4.0 * u - eta * 2.0 * u * u
-    J[..., 0, 2] = -4.0 + eta * 2.0 * u
-    J[..., 1, 1] = 2.0 * v
-    J[..., 2, 0] = 4.0 * v * (v - 2.0) - eta * 2.0 * u * v * (v - 2.0)
-    J[..., 2, 1] = 4.0 * ((2.0 * v - 2.0) * u - w) - eta * u * u * (2.0 * v - 2.0)
-    J[..., 2, 2] = 4.0 * (1.0 - v) + eta * 2.0 * w
-    return J
+    return _pack(
+        [
+            [
+                4.0 * (v - 1.0) + eta * (2.0 * w - 4.0 * u * (v - 1.0)),
+                4.0 * u - eta * 2.0 * u * u,
+                -4.0 + eta * 2.0 * u,
+            ],
+            [0.0, 2.0 * v, 0.0],
+            [
+                4.0 * v * (v - 2.0) - eta * 2.0 * u * v * (v - 2.0),
+                4.0 * ((2.0 * v - 2.0) * u - w) - eta * u * u * (2.0 * v - 2.0),
+                4.0 * (1.0 - v) + eta * 2.0 * w,
+            ],
+        ],
+        U.shape[:-1],
+    )
 
 
 def uw_block(v) -> np.ndarray:
@@ -134,19 +188,21 @@ def eigenvalues_batch(U, params: ModelParams):
 
     Returns (lam, ok) where ok flags strict ordering lambda_1 < lambda_2 < lambda_3.
     """
-    U = _states(U, "eigenvalues_batch")
-    u, v, w = U[..., 0], U[..., 1], U[..., 2]
+    return _eigenvalues(_states(U, "eigenvalues_batch"), params)
+
+
+def _eigenvalues(U: np.ndarray, params: ModelParams):
+    u, v, w = _entries(U, 1)
     eta = params.eta
     shift = eta * (2.0 * w - 2.0 * u * v)
-    lam = np.stack([-4.0 + shift + 4.0 * eta * u, 2.0 * v, 4.0 + shift], axis=-1)
-    ok = (lam[..., 0] < lam[..., 1]) & (lam[..., 1] < lam[..., 2])
-    return lam, ok
+    lam1, lam2, lam3 = -4.0 + shift + 4.0 * eta * u, 2.0 * v, 4.0 + shift
+    return _pack([lam1, lam2, lam3], U.shape[:-1]), (lam1 < lam2) & (lam2 < lam3)
 
 
 def eigenvalues(U, params: ModelParams) -> np.ndarray:
     """Eigenvalues of DF at a single state in family order; raises unless strictly ordered."""
     U = as_state(U)
-    lam, ok = eigenvalues_batch(U, params)
+    lam, ok = _eigenvalues(U, params)
     if not ok:
         raise HyperbolicityError(
             f"eigenvalues {lam.tolist()} not strictly ordered by family at "
@@ -168,15 +224,18 @@ class EigenSystem:
 def _r2_uw(J, lam2):
     """(u, w) components of the middle eigenvector normalized to v-component 1.
 
-    Solves rows 1 and 3 of (J - lam2 I) r = 0 with r_v = 1.
+    Solves rows 1 and 3 of (J - lam2 I) r = 0 with r_v = 1.  The determinant
+    is a numpy float64 so that a single state at a family crossing divides
+    by zero as numpy does (inf or nan and a RuntimeWarning), not by raising.
     """
-    a = J[..., 0, 0] - lam2
-    b = J[..., 0, 2]
-    c = J[..., 2, 0]
-    d = J[..., 2, 2] - lam2
-    det = a * d - b * c
-    ru = (-J[..., 0, 1] * d + J[..., 2, 1] * b) / det
-    rw = (-J[..., 2, 1] * a + J[..., 0, 1] * c) / det
+    (j00, j01, j02), _, (j20, j21, j22) = _entries(J, 2)
+    a = j00 - lam2
+    b = j02
+    c = j20
+    d = j22 - lam2
+    det = np.float64(a * d - b * c)
+    ru = (-j01 * d + j21 * b) / det
+    rw = (-j21 * a + j01 * c) / det
     return ru, rw
 
 
@@ -187,8 +246,7 @@ def r2_direction(U, params: ModelParams) -> np.ndarray:
     are closed-form for every eta).
     """
     U = as_state(U)
-    J = jacobian(U, params)
-    ru, rw = _r2_uw(J, 2.0 * U[1])
+    ru, rw = _r2_uw(jacobian(U, params), 2.0 * U.item(1))
     return np.array([ru, 1.0, rw])
 
 
@@ -253,6 +311,13 @@ def sample_ball(n: int, radius: float, seed: int = 0) -> np.ndarray:
     )
 
 
+def _check_sampling(radius: float, n_samples: int):
+    if not 0.0 <= radius < 1.0:
+        raise DomainError(f"radius must lie in [0, 1), got {radius}")
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be >= 1 to sample the ball, got {n_samples}")
+
+
 @dataclass(frozen=True)
 class HyperbolicityReport:
     eta: float
@@ -275,11 +340,8 @@ def check_strict_hyperbolicity(
 
     Passes iff both gaps are strictly positive on every sample.
     """
-    if not 0.0 <= radius < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {radius}")
+    _check_sampling(radius, n_samples)
     U = sample_ball(n_samples, radius, seed)
-    if len(U) == 0:
-        U = np.zeros((1, 3))
     lam, ok = eigenvalues_batch(U, params)
     gap12 = lam[:, 1] - lam[:, 0]
     gap23 = lam[:, 2] - lam[:, 1]
@@ -333,8 +395,7 @@ def check_genuine_nonlinearity(
     away from zero *below*.  At eta = 0 families 1 and 3 are linearly
     degenerate and are reported as such.
     """
-    if not 0.0 <= radius < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {radius}")
+    _check_sampling(radius, n_samples)
     U = sample_ball(n_samples, radius, seed)
     n = len(U)
     u, v = U[:, 0], U[:, 1]

@@ -9,6 +9,11 @@ s2 along family 2, so s2 = v_r - v_l is assigned, never solved.  The
 remaining 2x2 system in (s1, s3) is solved by damped Newton with a
 finite-difference Jacobian; at eta = 0 with a shock-type middle wave the
 system is affine and one step lands on the solution.
+
+Only the middle wave is costly (a Newton solve or an RK4 integration), and
+it depends on s1 alone: the 3-line through its end state is affine in s3.
+So the middle wave is evaluated once per s1 abscissa, and the
+finite-difference column in s3 reuses the end state of the current iterate.
 """
 
 from dataclasses import dataclass
@@ -120,16 +125,19 @@ def solve_riemann(
     target = Ur[[0, 2]]
     scale = 1.0 + float(np.linalg.norm(target))
 
-    def compose(s1: float, s3: float):
+    def middle(s1: float):
         UA = Ul + s1 * wc.r1_direction(vl)
         UB = wc.wave_fan_curve(2, UA, s2, params).state if s2 != 0.0 else UA
+        return UA, UB
+
+    def outer(UB, s3: float):
         UC = UB + s3 * wc.r3_direction(UB[1])
-        return UA, UB, UC
+        g = UC[[0, 2]] - target
+        return UC, g, float(np.linalg.norm(g))
 
     def residual_of(s1: float, s3: float):
-        UA, UB, UC = compose(s1, s3)
-        g = UC[[0, 2]] - target
-        return UA, UB, UC, g, float(np.linalg.norm(g))
+        UA, UB = middle(s1)
+        return (UA, UB) + outer(UB, s3)
 
     # initial guess: project the jump past the middle wave onto the outer lines
     mid0 = wc.wave_fan_curve(2, Ul, s2, params).state if s2 != 0.0 else Ul
@@ -144,7 +152,7 @@ def solve_riemann(
             break
         h = FD_STEP * max(1.0, abs(s1), abs(s3))
         _, _, _, g1, _ = residual_of(s1 + h, s3)
-        _, _, _, g3, _ = residual_of(s1, s3 + h)
+        _, g3, _ = outer(UB, s3 + h)
         Jac = np.column_stack([(g1 - g) / h, (g3 - g) / h])
         try:
             step = np.linalg.solve(Jac, g)

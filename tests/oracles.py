@@ -4,15 +4,24 @@ The library computes the eigenstructure, the nonlinearity factors and the
 states inside rarefaction fans from closed forms.  These routines reach the
 same quantities without them: the roots of the characteristic cubic of the
 Jacobian, SVD null vectors, central finite differences of the roots, and
-bisection on the family speed along the rarefaction curve.
+bisection on the family speed along the rarefaction curve.  The tracker's
+observables are recomputed by a plain loop over the fronts.
 """
 
 import numpy as np
 
 import bjsystem.flux as fx
+import bjsystem.fronttrack as ft
 import bjsystem.wavecurves as wc
 
 _TWO_PI_THIRDS = 2.0 * np.pi / 3.0
+
+
+def ball_sample(rng, n, radius):
+    """n uniform random points of the ball |U| <= radius, drawn from rng."""
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    return radius * rng.uniform(size=(n, 1)) ** (1.0 / 3.0) * direction
 
 
 def char_coeffs(J):
@@ -115,3 +124,35 @@ def bisect_rarefaction(wave, xi, params, tol=1e-12):
             a, fa = mid, fm
     t = 0.5 * (a + b)
     return wc.rarefaction(wave.family, wave.left, t, params).state
+
+
+def observables_loop(st):
+    """`fronttrack.observables` as one pass of Python over the fronts."""
+    U_bg = st.left_boundary_state
+    tv = np.zeros(3)
+    max_norm = float(np.linalg.norm(U_bg))
+    for f in st.fronts:
+        tv += np.abs(f.right - f.left)
+        max_norm = max(max_norm, float(np.linalg.norm(f.right)))
+    integrals = np.zeros(3)
+    xs = st.positions()
+    for k in range(len(st.fronts) - 1):
+        integrals += (xs[k + 1] - xs[k]) * (st.fronts[k].right - U_bg)
+    if st.fronts:
+        U_far = st.fronts[-1].right
+        balance = (
+            integrals
+            - xs[-1] * (U_far - U_bg)
+            + st.time * (fx.flux(U_far, st.params.model) - fx.flux(U_bg, st.params.model))
+        )
+    else:
+        balance = integrals
+    return ft.ObservableRecord(
+        time=st.time,
+        n_events=len(st.event_log),
+        n_fronts=len(st.fronts),
+        total_variation=tuple(tv),
+        max_state_norm=max_norm,
+        integrals=tuple(integrals),
+        balance=tuple(balance),
+    )

@@ -216,3 +216,11 @@ def test_scenario_rejects_unknown_section_keys(tmp_path, capsys):
     code = run_cli("verify", "hyperbolicity", "--scenario", str(scenario))
     assert code == 1
     assert "zeta" in capsys.readouterr().err
+
+
+def test_verify_ball_suites_reject_zero_samples(capsys):
+    for suite in ("hyperbolicity", "gnl"):
+        code = run_cli("verify", suite, "--samples", "0")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_samples must be >= 1")

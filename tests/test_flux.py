@@ -223,16 +223,10 @@ def test_eigenvalues_raise_where_families_cross():
     assert not ok[0]
 
 
-def ball_sample(rng, n, radius):
-    direction = rng.normal(size=(n, 3))
-    direction /= np.linalg.norm(direction, axis=1)[:, None]
-    return radius * rng.uniform(size=(n, 1)) ** (1.0 / 3.0) * direction
-
-
 @pytest.mark.parametrize("eta", [0.0, 0.01, 0.1, 0.2, 0.2499])
 def test_closed_forms_match_cubic_and_svd_oracles(eta):
     params = ModelParams(eta)
-    U = ball_sample(np.random.default_rng(2015), 2000, 0.99)
+    U = oracles.ball_sample(np.random.default_rng(2015), 2000, 0.99)
     lam, ok = fx.eigenvalues_batch(U, params)
     lam_cubic, ok_cubic = oracles.cubic_eigenvalues(U, params)
     assert np.all(ok) and np.all(ok_cubic)
@@ -255,3 +249,61 @@ def test_genuine_nonlinearity_matches_finite_difference_oracle(eta):
     for i, family in enumerate((report.family1, report.family2, report.family3)):
         assert abs(family[0] - fd[:, i].min()) <= 1e-6
         assert abs(family[1] - fd[:, i].max()) <= 1e-6
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.01, 0.2, 0.2499])
+def test_single_state_kernels_equal_batch_rows_bit_for_bit(eta):
+    # one state runs the formulas on Python floats, a batch on array slices
+    params = ModelParams(eta)
+    U = fx.sample_ball(500, 0.99, seed=7)
+    F, J = fx.flux(U, params), fx.jacobian(U, params)
+    lam, ok = fx.eigenvalues_batch(U, params)
+    ru, rw = fx._r2_uw(J, 2.0 * U[:, 1])
+    assert np.all(ok)
+    for k, state in enumerate(U):
+        assert np.array_equal(fx.flux(state, params), F[k])
+        assert np.array_equal(fx.jacobian(state, params), J[k])
+        assert np.array_equal(fx.eigenvalues(state, params), lam[k])
+        assert np.array_equal(fx.r2_direction(state, params), [ru[k], 1.0, rw[k]])
+
+
+def test_finiteness_check_is_exact_when_the_sum_overflows():
+    params = ModelParams(0.1)
+    big = np.array([1e308, 1e308, 0.0])  # finite, but its sum overflows
+    assert np.array_equal(fx.as_state(big), big)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx.flux(big, params)
+        fx.jacobian(big, params)
+        fx.eigenvalues_batch(big, params)
+        fx.r2_direction(big, params)
+        fx.flux(np.array([big, big]), params)
+
+
+@pytest.mark.parametrize(
+    "bad", [[np.inf, -np.inf, 0.0], [np.nan, 0.0, 0.0], [[0.1, 0.0, 0.0], [0.0, np.inf, 0.0]]]
+)
+def test_non_finite_states_are_rejected(bad):
+    params = ModelParams(0.1)
+    bad = np.array(bad)
+    if bad.ndim == 1:
+        with pytest.raises(DomainError):
+            fx.as_state(bad)
+        with pytest.raises(DomainError):
+            fx.r2_direction(bad, params)
+    for kernel in (fx.flux, fx.jacobian, fx.eigenvalues_batch):
+        with pytest.raises(DomainError):
+            kernel(bad, params)
+
+
+def test_r2_direction_at_a_family_crossing_divides_like_numpy():
+    # at v = 2 and eta = 0 lambda_2 = lambda_3: the (u, w) solve is singular
+    with pytest.warns(RuntimeWarning):
+        r2 = fx.r2_direction(np.array([0.1, 2.0, 0.0]), ModelParams(0.0))
+    assert r2[1] == 1.0 and not np.all(np.isfinite(r2))
+
+
+@pytest.mark.parametrize("check", [fx.check_strict_hyperbolicity, fx.check_genuine_nonlinearity])
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_ball_checks_need_a_sample(check, n_samples):
+    with pytest.raises(DomainError, match="n_samples must be >= 1"):
+        check(ModelParams(0.1), n_samples=n_samples)

@@ -8,6 +8,8 @@ import bjsystem.wavecurves as wc
 from bjsystem.errors import DomainError
 from bjsystem.flux import ModelParams
 
+import oracles
+
 P0 = ModelParams(0.0)
 
 
@@ -277,6 +279,55 @@ def test_run_rejects_past_horizon():
     st.time = 2.0
     with pytest.raises(DomainError):
         ft.run(st, 1.0)
+
+
+def _seeded_jumps(rng, U0, layout, params):
+    """Jumps following the wave curves; layout is (family, s) per jump on [-1, 1]."""
+    xs = -1.0 + (np.arange(len(layout)) + rng.uniform(0.4, 0.6, len(layout))) * (2.0 / len(layout))
+    cur = U0
+    jumps = []
+    for x, (fam, s) in zip(xs, layout):
+        cur = wc.wave_fan_curve(fam, cur, s, params).state
+        jumps.append((float(x), cur))
+    return jumps
+
+
+def _assert_observables_match_loop(st, n_events):
+    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    for _ in range(n_events):
+        ft.resolve_collision(st, ft.next_collision(st))
+        assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+
+
+def test_observables_equal_the_loop_on_a_shock_run():
+    params = ModelParams(1e-4)
+    rng = np.random.default_rng(808)
+    families = rng.permutation(np.resize([1, 2, 3], 30))
+    strengths = 10.0 ** rng.uniform(-3.0, -2.0, 30)
+    layout = [(int(f), (1.0 if f == 3 else -1.0) * s) for f, s in zip(families, strengths)]
+    U0 = np.array([0.25, 0.1, -0.25])
+    st = ft.init_from_piecewise(_seeded_jumps(rng, U0, layout, params), U0, params)
+    _assert_observables_match_loop(st, 200)
+
+
+def test_observables_equal_the_loop_on_a_rarefaction_run():
+    params = ModelParams(1e-3)
+    rng = np.random.default_rng(809)
+    layout = [(3, 1e-3)] + [(2, 5e-3)] * 6
+    U0 = np.array([0.2, 0.0, -0.2])
+    st = ft.init_from_piecewise(_seeded_jumps(rng, U0, layout, params), U0, params, delta=2e-3)
+    _assert_observables_match_loop(st, 100)
+
+
+@pytest.mark.parametrize("n_fronts", [0, 1, 2])
+def test_observables_equal_the_loop_with_few_fronts(n_fronts):
+    params = ModelParams(0.05)
+    U0 = np.array([-0.1, 0.2, 0.3])
+    jumps = _seeded_jumps(np.random.default_rng(1), U0, [(2, -0.05), (1, -0.02)], params)
+    st = ft.init_from_piecewise(jumps[:n_fronts], U0, params)
+    assert len(st.fronts) == n_fronts
+    st.time = 0.75
+    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
 
 
 # --- scalar oracle ----------------------------------------------------------

@@ -217,3 +217,44 @@ def test_nonconvergence_raises_with_residual():
 def test_outside_ball_warning():
     fan = solve_riemann(np.array([1.2, 0.0, 0.0]), np.array([1.1, 0.0, 0.0]), P0)
     assert any("unit ball" in note for note in fan.warnings)
+
+
+@pytest.mark.parametrize(
+    "eta, strengths, expected",
+    [
+        # a 2-rarefaction between outer rarefactions
+        (0.05, (0.03, 0.08, -0.02), (0.029999999999999933, 0.08, -0.020000000000000014)),
+        # a 2-shock between contacts
+        (0.0, (0.04, -0.1, 0.05), (0.04000000000000005, -0.10000000000000003, 0.04999999999999998)),
+    ],
+)
+def test_solve_evaluates_each_middle_wave_once(monkeypatch, eta, strengths, expected):
+    params = ModelParams(eta)
+    Ul = np.array([0.1, -0.2, 0.15])
+    Ur = compose(Ul, strengths, params)
+    reference = solve_riemann(Ul, Ur, params)
+    evaluations = []
+    original = wc.wave_fan_curve
+
+    def counting(fam, base, s, params):
+        if fam == 2:
+            evaluations.append((np.asarray(base, dtype=float).tobytes(), s))
+        return original(fam, base, s, params)
+
+    monkeypatch.setattr(wc, "wave_fan_curve", counting)
+    fan = solve_riemann(Ul, Ur, params)
+    assert evaluations and len(set(evaluations)) == len(evaluations)
+    assert repr(fan) == repr(reference)
+    # the strengths the solver gave when it re-evaluated the middle wave per s3 column
+    assert fan.strengths == expected
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.05, 0.2])
+def test_seeded_random_pairs_solve_and_pass_diagnostics(eta):
+    params = ModelParams(eta)
+    rng = np.random.default_rng([2026, int(eta * 100)])
+    pairs = oracles.ball_sample(rng, 20, 0.9).reshape(10, 2, 3)
+    for Ul, Ur in pairs:
+        fan = solve_riemann(Ul, Ur, params)
+        assert check_fan(fan, params).ok
+        assert fan.residual <= 1e-12

@@ -59,14 +59,10 @@ class ModelParams:
 
 
 def _all_finite(arr: np.ndarray) -> bool:
-    """Exact finiteness test that usually costs one sum.
-
-    Any inf or nan makes the sum non-finite, so a finite sum settles it; a
-    sum that overflows from finite terms (1e308 + 1e308) falls back to the
-    test per element.  A single state is summed as floats.
-    """
-    total = sum(arr.tolist()) if arr.ndim == 1 else arr.sum()
-    return math.isfinite(total) or bool(np.isfinite(arr).all())
+    """Exact finiteness test; a single state is tested as Python floats."""
+    if arr.ndim == 1:
+        return all(map(math.isfinite, arr.tolist()))
+    return bool(np.isfinite(arr).all())
 
 
 def as_state(U) -> np.ndarray:

@@ -27,7 +27,7 @@ TOL_EVENT = 1e-12
 SPEED_TIE_TOL = 1e-14
 
 
-@dataclass
+@dataclass(slots=True)
 class Front:
     """One propagating discontinuity (or rarefaction piece)."""
 
@@ -46,7 +46,7 @@ class Front:
         return self.birth_x + self.speed * (t - self.birth_t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollisionEvent:
     index: int
     time: float
@@ -91,7 +91,7 @@ class TrackerState:
         return [f.position(t) for f in self.fronts]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservableRecord:
     time: float
     n_events: int
@@ -314,20 +314,17 @@ def observables(st: TrackerState) -> ObservableRecord:
     conservation certification checks.)
 
     The front states and positions are stacked once and every sum is an
-    axis-0 reduction, which adds the rows in order as a loop over the fronts
-    would.  |U| is computed per state by `np.linalg.norm`, whose dot product
-    may round differently from a vectorized sum of squares, so the
-    vectorized norms only pick the rows within 1e-14 of the largest and the
-    maximum is taken over their exact norms.
+    axis-0 reduction, which adds the rows in order from +0.0 as a loop over
+    the fronts would.  |U| is computed per state by `np.linalg.norm`, whose
+    dot product may round differently from a vectorized sum of squares, so
+    the vectorized norms only pick the rows within 1e-14 of the largest and
+    the maximum is taken over their exact norms.
     """
     U_bg = st.left_boundary_state
     fronts = st.fronts
     right = np.array([f.right for f in fronts]).reshape(-1, 3)
     left = np.array([f.left for f in fronts]).reshape(-1, 3)
-    birth_x, speed, birth_t = np.array(
-        [(f.birth_x, f.speed, f.birth_t) for f in fronts]
-    ).reshape(-1, 3).T
-    xs = birth_x + speed * (st.time - birth_t)
+    xs = np.array(st.positions())
     tv = np.abs(right - left).sum(axis=0)
     integrals = (np.diff(xs)[:, None] * (right[:-1] - U_bg)).sum(axis=0)
     max_norm = float(np.linalg.norm(U_bg))

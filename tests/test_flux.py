@@ -267,9 +267,9 @@ def test_single_state_kernels_equal_batch_rows_bit_for_bit(eta):
         assert np.array_equal(fx.r2_direction(state, params), [ru[k], 1.0, rw[k]])
 
 
-def test_finiteness_check_is_exact_when_the_sum_overflows():
+def test_huge_finite_states_are_accepted():
     params = ModelParams(0.1)
-    big = np.array([1e308, 1e308, 0.0])  # finite, but its sum overflows
+    big = np.array([1e308, 1e308, 0.0])  # finite, though its sum overflows
     assert np.array_equal(fx.as_state(big), big)
     with np.errstate(over="ignore", invalid="ignore"):
         fx.flux(big, params)

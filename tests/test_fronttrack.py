@@ -330,6 +330,19 @@ def test_observables_equal_the_loop_with_few_fronts(n_fronts):
     assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
 
 
+@pytest.mark.parametrize("x", [0.0, 0.3])
+def test_observables_equal_the_loop_at_a_single_jump(x):
+    # every front of one jump sits at x at t = 0: each hull term is 0 * (U - U_bg),
+    # which is -0.0 wherever U < U_bg; the loop's sums start from +0.0
+    params = ModelParams(0.05)
+    U0 = np.array([-0.1, -0.2, 0.3])
+    (_, U1), (_, U3) = _seeded_jumps(np.random.default_rng(2), U0, [(1, 0.03), (3, 0.03)], params)
+    st = ft.init_from_piecewise([(x, U3)], U0, params, delta=0.01)
+    terms = 0.0 * (np.array([f.right for f in st.fronts[:-1]]) - U0)
+    assert len(st.fronts) == 4 and np.signbit(terms[:, 2]).all()
+    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+
+
 # --- scalar oracle ----------------------------------------------------------
 
 

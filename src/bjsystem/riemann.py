@@ -5,15 +5,17 @@ The solution of the Riemann problem (Ul, Ur) is the triple (s1, s2, s3) with
     Ur = D3[s3, D2[s2, D1[s1, Ul]]].
 
 The v-component is constant along families 1 and 3 and advances by exactly
-s2 along family 2, so s2 = v_r - v_l is assigned, never solved.  The
-remaining 2x2 system in (s1, s3) is solved by damped Newton with a
-finite-difference Jacobian; at eta = 0 with a shock-type middle wave the
-system is affine and one step lands on the solution.
+s2 along family 2, so s2 = v_r - v_l is assigned, never solved.  The outer
+curves are straight lines in v = const whose u-component advances by their
+strength, so for a given s1 the 3-strength is fixed as well:
 
-Only the middle wave is costly (a Newton solve or an RK4 integration), and
-it depends on s1 alone: the 3-line through its end state is affine in s3.
-So the middle wave is evaluated once per s1 abscissa, and the
-finite-difference column in s3 reuses the end state of the current iterate.
+    U_A = Ul + s1 r1(v_l),   U_B = D2[s2, U_A],   s3 = u_r - u_B(s1).
+
+What remains is the scalar equation g(s1) = w_C(s1) - w_r = 0, solved by a
+secant iteration in s1.  Each evaluation of g costs one middle wave (a
+Newton solve or an RK4 integration).  At eta = 0 the 2-curve is affine in
+(u, w) on both branches, so g is affine and the first secant step lands:
+three middle-wave evaluations per solve.
 """
 
 from dataclasses import dataclass
@@ -27,7 +29,6 @@ from .flux import ModelParams, as_state, eigenvalues, in_unit_ball
 TOL_ZERO = 1e-13
 SOLVER_TOL = 1e-12
 MAX_ITER = 100
-FD_STEP = 1e-7
 
 SHOCK = "shock"
 RAREFACTION = "rarefaction"
@@ -60,7 +61,11 @@ class Wave:
 
 @dataclass(frozen=True)
 class RiemannFan:
-    """Solved wave fan: up to three waves with ascending speeds."""
+    """Solved wave fan: up to three waves with ascending speeds.
+
+    `iterations` counts the evaluations of the composed state for a trial
+    s1, each of which evaluates the middle wave once when s2 != 0.
+    """
 
     left_state: np.ndarray
     waves: tuple
@@ -109,8 +114,10 @@ def solve_riemann(
 ) -> RiemannFan:
     """Solve the Riemann problem between Ul and Ur.
 
-    Raises ConvergenceError (carrying the best iterate and its residual) if
-    the damped Newton iteration cannot reach `tol`.
+    Secant iteration in s1 on the w-mismatch g(s1), started at s1 = 0 and
+    s1 = -g(0)/2; a step is kept only while |g| decreases, for at most
+    `max_iter` steps.  Raises ConvergenceError (carrying the best iterate
+    and its residual) if |g| stays above `tol`.
     """
     Ul = as_state(Ul)
     Ur = as_state(Ur)
@@ -120,81 +127,52 @@ def solve_riemann(
             notes.append(f"{name} state outside the unit ball |U| < 1")
 
     s2 = float(Ur[1] - Ul[1])
-    vl = Ul[1]
-    vr = Ur[1]
-    target = Ur[[0, 2]]
-    scale = 1.0 + float(np.linalg.norm(target))
+    r1 = wc.r1_direction(Ul[1])
+    ur, wr = Ur[0], Ur[2]
+    scale = 1.0 + float(np.linalg.norm(Ur[[0, 2]]))
 
-    def middle(s1: float):
-        UA = Ul + s1 * wc.r1_direction(vl)
+    def compose(s1: float):
+        UA = Ul + s1 * r1
         UB = wc.wave_fan_curve(2, UA, s2, params).state if s2 != 0.0 else UA
-        return UA, UB
-
-    def outer(UB, s3: float):
+        s3 = float(ur - UB[0])
         UC = UB + s3 * wc.r3_direction(UB[1])
-        g = UC[[0, 2]] - target
-        return UC, g, float(np.linalg.norm(g))
+        return s1, s3, UA, UB, UC, float(UC[2] - wr)
 
-    def residual_of(s1: float, s3: float):
-        UA, UB = middle(s1)
-        return (UA, UB) + outer(UB, s3)
-
-    # initial guess: project the jump past the middle wave onto the outer lines
-    mid0 = wc.wave_fan_curve(2, Ul, s2, params).state if s2 != 0.0 else Ul
-    proj = np.array([[1.0, 1.0], [vl, vl - 2.0]])
-    s1, s3 = np.linalg.solve(proj, target - mid0[[0, 2]])
-
-    UA, UB, UC, g, g_norm = residual_of(s1, s3)
-    best = (s1, s3, UA, UB, UC, g_norm)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if g_norm <= 1e-15 * scale:
+    stop = 1e-15 * scale
+    prev = compose(0.0)
+    # without a middle wave g is affine in s1 with slope v_l - (v_l - 2) = 2
+    cur = compose(-0.5 * prev[-1]) if abs(prev[-1]) > stop else prev
+    iterations = 1 if cur is prev else 2
+    if abs(cur[-1]) > abs(prev[-1]):
+        prev, cur = cur, prev
+    for _ in range(max_iter):
+        if abs(cur[-1]) <= stop or cur[-1] == prev[-1]:
             break
-        h = FD_STEP * max(1.0, abs(s1), abs(s3))
-        _, _, _, g1, _ = residual_of(s1 + h, s3)
-        _, g3, _ = outer(UB, s3 + h)
-        Jac = np.column_stack([(g1 - g) / h, (g3 - g) / h])
-        try:
-            step = np.linalg.solve(Jac, g)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                "singular Jacobian in Riemann solve", iterate=(s1, s3), residual=g_norm
-            ) from exc
-        improved = False
-        damping = 1.0
-        for _ in range(30):
-            trial = (s1 - damping * step[0], s3 - damping * step[1])
-            UA_t, UB_t, UC_t, g_t, n_t = residual_of(*trial)
-            if n_t < g_norm:
-                s1, s3 = trial
-                UA, UB, UC, g, g_norm = UA_t, UB_t, UC_t, g_t, n_t
-                improved = True
-                break
-            damping *= 0.5
-        if g_norm < best[5]:
-            best = (s1, s3, UA, UB, UC, g_norm)
-        if not improved:
+        trial = compose(cur[0] - cur[-1] * (cur[0] - prev[0]) / (cur[-1] - prev[-1]))
+        iterations += 1
+        if abs(trial[-1]) >= abs(cur[-1]):
             break
-    if g_norm > tol * scale:
+        prev, cur = cur, trial
+    s1, s3, UA, UB, UC, g = cur
+    if abs(g) > tol * scale:
         raise ConvergenceError(
-            f"Riemann solve residual {g_norm:.3e} above tolerance {tol:.1e}",
-            iterate=(best[0], best[1]),
-            residual=best[5],
+            f"Riemann solve residual {abs(g):.3e} above tolerance {tol:.1e}",
+            iterate=(s1, s3),
+            residual=abs(g),
         )
 
-    strengths = (float(s1), s2, float(s3))
-    residual = float(np.linalg.norm(UC - Ur))
     waves = []
-    pieces = ((1, s1, Ul, UA), (2, s2, UA, UB), (3, s3, UB, UC))
-    for fam, s, left, right in pieces:
+    left = Ul
+    for fam, s, right in ((1, s1, UA), (2, s2, UB), (3, s3, UC)):
         if abs(s) <= tol_zero:
             continue
         waves.append(_make_wave(fam, s, left, right, params))
+        left = right
     return RiemannFan(
         left_state=Ul,
         waves=tuple(waves),
-        strengths=strengths,
-        residual=residual,
+        strengths=(float(s1), s2, s3),
+        residual=float(np.linalg.norm(UC - Ur)),
         params=params,
         iterations=iterations,
         warnings=tuple(notes),
@@ -295,9 +273,9 @@ def check_fan(fan: RiemannFan, params: ModelParams) -> FanDiagnostics:
     speeds_ordered = all(
         fan.waves[i].max_speed < fan.waves[i + 1].min_speed for i in range(len(fan.waves) - 1)
     )
+    lefts = [fan.left_state] + [wave.right for wave in fan.waves[:-1]]
     states_chained = all(
-        np.array_equal(fan.waves[i].right, fan.waves[i + 1].left)
-        for i in range(len(fan.waves) - 1)
+        np.array_equal(wave.left, left) for wave, left in zip(fan.waves, lefts)
     )
     ok = ok and speeds_ordered and states_chained
     return FanDiagnostics(

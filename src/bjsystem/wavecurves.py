@@ -246,9 +246,6 @@ def rarefaction(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
 def wave_fan_curve(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
     """Wave-fan curve D_fam: shock branch on the admissible-shock side, else rarefaction."""
     _check_family(fam)
-    if s == 0.0:
-        base = as_state(base)
-        return CurvePoint(state=base.copy(), speed=float(eigenvalues(base, params)[fam - 1]), param=0.0)
     if s * _SHOCK_SIDE[fam] > 0.0:
         return hugoniot(fam, base, s, params)
     return rarefaction(fam, base, s, params)

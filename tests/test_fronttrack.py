@@ -292,11 +292,20 @@ def _seeded_jumps(rng, U0, layout, params):
     return jumps
 
 
+def _assert_chain_exact(st):
+    if st.fronts:
+        assert np.array_equal(st.fronts[0].left, st.left_boundary_state)
+    for a, b in zip(st.fronts, st.fronts[1:]):
+        assert np.array_equal(a.right, b.left)
+
+
 def _assert_observables_match_loop(st, n_events):
     assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    _assert_chain_exact(st)
     for _ in range(n_events):
         ft.resolve_collision(st, ft.next_collision(st))
         assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+        _assert_chain_exact(st)
 
 
 def test_observables_equal_the_loop_on_a_shock_run():

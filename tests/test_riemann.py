@@ -89,6 +89,36 @@ def test_zero_strength_waves_dropped():
     assert [w.family for w in fan.waves] == [2, 3]
 
 
+@pytest.mark.parametrize(
+    "eta, strengths", [(0.0, (1e-14, -0.1, 0.05)), (0.05, (1e-14, 0.08, -0.02))]
+)
+def test_dropped_wave_keeps_the_state_chain(eta, strengths):
+    # the 1-wave is below tol_zero but not zero: the first kept wave must
+    # still start at Ul, not at Ul + s1 r1
+    params = ModelParams(eta)
+    Ul = np.array([0.25, 0.0, -0.25])
+    fan = solve_riemann(Ul, compose(Ul, strengths, params), params)
+    assert fan.strengths[0] != 0.0
+    assert [w.family for w in fan.waves] == [2, 3]
+    assert np.array_equal(fan.waves[0].left, Ul)
+    assert check_fan(fan, params).states_chained
+
+
+def test_check_fan_requires_the_first_wave_to_start_at_the_left_state():
+    Ul = np.array([0.25, 0.0, -0.25])
+    fan = solve_riemann(Ul, compose(Ul, (0.0, -0.1, 0.0), P0), P0)
+    shifted = type(fan)(
+        left_state=Ul + 1e-15,
+        waves=fan.waves,
+        strengths=fan.strengths,
+        residual=fan.residual,
+        params=P0,
+    )
+    assert check_fan(fan, P0).states_chained
+    diag = check_fan(shifted, P0)
+    assert not diag.states_chained and not diag.ok
+
+
 def test_wave_kinds_eta0_outer_contacts():
     Ul = np.array([0.25, 0.0, -0.25])
     target = compose(Ul, (-0.05, -0.1, 0.03), P0)
@@ -223,9 +253,11 @@ def test_outside_ball_warning():
     "eta, strengths, expected",
     [
         # a 2-rarefaction between outer rarefactions
-        (0.05, (0.03, 0.08, -0.02), (0.029999999999999933, 0.08, -0.020000000000000014)),
+        (0.05, (0.03, 0.08, -0.02), (0.029999999999999853, 0.08, -0.019999999999999865)),
         # a 2-shock between contacts
-        (0.0, (0.04, -0.1, 0.05), (0.04000000000000005, -0.10000000000000003, 0.04999999999999998)),
+        (0.0, (0.04, -0.1, 0.05), (0.04000000000000004, -0.10000000000000003, 0.04999999999999999)),
+        # a 2-rarefaction between contacts
+        (0.0, (0.03, 0.2, -0.02), (0.03000000000000018, 0.2, -0.020000000000000115)),
     ],
 )
 def test_solve_evaluates_each_middle_wave_once(monkeypatch, eta, strengths, expected):
@@ -244,12 +276,17 @@ def test_solve_evaluates_each_middle_wave_once(monkeypatch, eta, strengths, expe
     monkeypatch.setattr(wc, "wave_fan_curve", counting)
     fan = solve_riemann(Ul, Ur, params)
     assert evaluations and len(set(evaluations)) == len(evaluations)
+    assert len(evaluations) == fan.iterations
+    if eta == 0.0:
+        # g(s1) is affine at eta = 0: two starting points, one secant step
+        assert len(evaluations) == 3
     assert repr(fan) == repr(reference)
-    # the strengths the solver gave when it re-evaluated the middle wave per s3 column
+    assert np.max(np.abs(np.array(fan.strengths) - strengths)) <= 1e-15
+    # the strengths the scalar secant in s1 gives
     assert fan.strengths == expected
 
 
-@pytest.mark.parametrize("eta", [0.0, 0.05, 0.2])
+@pytest.mark.parametrize("eta", [0.0, 1e-3, 0.05, 0.2, 0.2499])
 def test_seeded_random_pairs_solve_and_pass_diagnostics(eta):
     params = ModelParams(eta)
     rng = np.random.default_rng([2026, int(eta * 100)])

@@ -190,6 +190,14 @@ def test_wave_fan_dispatch():
     assert np.array_equal(rare.state, wc.rarefaction(1, base, 0.1, params).state)
     shock2 = wc.wave_fan_curve(2, base, -0.1, params)
     assert abs(shock2.speed - (2.0 * base[1] - 0.1)) <= 1e-10
+    # zero strength of either sign goes to the rarefaction branch, which
+    # returns the base state at the family speed
+    for fam in (1, 2, 3):
+        old_zero = wc.CurvePoint(
+            state=base.copy(), speed=float(fx.eigenvalues(base, params)[fam - 1]), param=0.0
+        )
+        for s in (0.0, -0.0):
+            assert repr(wc.wave_fan_curve(fam, base, s, params)) == repr(old_zero)
 
 
 def test_lax_margins_for_2_shock():

@@ -31,6 +31,12 @@ costs float arithmetic instead of numpy's per-operation overhead on 0-d
 arrays; a batch (..., 3) hands over the [..., k] slices.  Both are IEEE
 double arithmetic in the same operation order, so a single state gives
 exactly the row a batch gives.
+
+The Jacobian entries are written once (`_jacobian_rows`) and r_2 is solved
+from them once (`_r2_uw_rows`).  `jacobian`, `r2_direction`, `eigensystem`
+and `check_genuine_nonlinearity` use them, and so does the family-2
+rarefaction RK4 in `wavecurves`, which calls `_r2_uw_at` on the three floats
+of each stage state without building an array.
 """
 
 import math
@@ -141,27 +147,27 @@ def flux(U, params: ModelParams) -> np.ndarray:
     )
 
 
+def _jacobian_rows(u, v, w, eta):
+    """Entries [i][k] of DF at the components (u, v, w): Python floats or arrays."""
+    return [
+        [
+            4.0 * (v - 1.0) + eta * (2.0 * w - 4.0 * u * (v - 1.0)),
+            4.0 * u - eta * 2.0 * u * u,
+            -4.0 + eta * 2.0 * u,
+        ],
+        [0.0, 2.0 * v, 0.0],
+        [
+            4.0 * v * (v - 2.0) - eta * 2.0 * u * v * (v - 2.0),
+            4.0 * ((2.0 * v - 2.0) * u - w) - eta * u * u * (2.0 * v - 2.0),
+            4.0 * (1.0 - v) + eta * 2.0 * w,
+        ],
+    ]
+
+
 def jacobian(U, params: ModelParams) -> np.ndarray:
     """Analytic Jacobian DF(U), shape (..., 3, 3)."""
     U = _states(U, "jacobian")
-    u, v, w = _entries(U, 1)
-    eta = params.eta
-    return _pack(
-        [
-            [
-                4.0 * (v - 1.0) + eta * (2.0 * w - 4.0 * u * (v - 1.0)),
-                4.0 * u - eta * 2.0 * u * u,
-                -4.0 + eta * 2.0 * u,
-            ],
-            [0.0, 2.0 * v, 0.0],
-            [
-                4.0 * v * (v - 2.0) - eta * 2.0 * u * v * (v - 2.0),
-                4.0 * ((2.0 * v - 2.0) * u - w) - eta * u * u * (2.0 * v - 2.0),
-                4.0 * (1.0 - v) + eta * 2.0 * w,
-            ],
-        ],
-        U.shape[:-1],
-    )
+    return _pack(_jacobian_rows(*_entries(U, 1), params.eta), U.shape[:-1])
 
 
 def uw_block(v) -> np.ndarray:
@@ -217,32 +223,44 @@ class EigenSystem:
     residuals: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
-def _r2_uw(J, lam2):
+def _r2_uw_rows(rows, lam2):
     """(u, w) components of the middle eigenvector normalized to v-component 1.
 
-    Solves rows 1 and 3 of (J - lam2 I) r = 0 with r_v = 1.  The determinant
-    is a numpy float64 so that a single state at a family crossing divides
-    by zero as numpy does (inf or nan and a RuntimeWarning), not by raising.
+    Solves rows 1 and 3 of (J - lam2 I) r = 0 with r_v = 1, given the entries
+    of J as rows.  A single state at a family crossing (zero determinant)
+    divides by zero as numpy does, inf or nan and a RuntimeWarning, instead of
+    raising ZeroDivisionError.
     """
-    (j00, j01, j02), _, (j20, j21, j22) = _entries(J, 2)
+    (j00, j01, j02), _, (j20, j21, j22) = rows
     a = j00 - lam2
     b = j02
     c = j20
     d = j22 - lam2
-    det = np.float64(a * d - b * c)
+    det = a * d - b * c
+    if type(det) is float and det == 0.0:
+        det = np.float64(det)
     ru = (-j01 * d + j21 * b) / det
     rw = (-j21 * a + j01 * c) / det
     return ru, rw
 
 
-def r2_direction(U, params: ModelParams) -> np.ndarray:
-    """Middle-field eigenvector with v-component exactly 1.
+def _r2_uw(J, lam2):
+    """`_r2_uw_rows` of a Jacobian array, one state or a batch."""
+    return _r2_uw_rows(_entries(J, 2), lam2)
 
-    Uses the exact middle eigenvalue 2v (trace identity; the outer eigenpairs
+
+def _r2_uw_at(u, v, w, eta):
+    """(r_u, r_w) at the components (u, v, w), Python floats or arrays.
+
+    The middle eigenvalue is exactly 2v (trace identity; the outer eigenpairs
     are closed-form for every eta).
     """
-    U = as_state(U)
-    ru, rw = _r2_uw(jacobian(U, params), 2.0 * U.item(1))
+    return _r2_uw_rows(_jacobian_rows(u, v, w, eta), 2.0 * v)
+
+
+def r2_direction(U, params: ModelParams) -> np.ndarray:
+    """Middle-field eigenvector with v-component exactly 1."""
+    ru, rw = _r2_uw_at(*as_state(U).tolist(), params.eta)
     return np.array([ru, 1.0, rw])
 
 
@@ -403,7 +421,7 @@ def check_genuine_nonlinearity(
 
     r1 = np.column_stack([ones, zeros, v])
     r3 = np.column_stack([ones, zeros, v - 2.0])
-    ru, rw = _r2_uw(jacobian(U, params), 2.0 * v)
+    ru, rw = _r2_uw_at(u, v, U[:, 2], eta)
     r2 = np.column_stack([ru, ones, rw])
 
     g1 = np.einsum("nk,nk->n", grad1, r1)

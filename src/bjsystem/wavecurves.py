@@ -16,12 +16,14 @@ family 3 (reversed orientation of the third field).
 """
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularCurveError
-from .flux import (
+from .flux import (  # noqa: F401  (r2_direction is re-exported)
     ModelParams,
+    _r2_uw_at,
     as_state,
     eigenvalues,
     jacobian,
@@ -217,6 +219,13 @@ def rarefaction(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
     Families 1 and 3 coincide with the Hugoniot lines; family 2 integrates
     the middle eigenvector field (v-component normalized to 1) with fixed-step
     RK4, so the v-component of the result is exactly vb + s.
+
+    The RK4 runs on (u, v, w) as three Python floats.  Each stage takes
+    (r_u, r_w) from `flux._r2_uw_at`, the formula behind `r2_direction`, and
+    the arithmetic is that of the array form y + (h/2) k and
+    y + (h/6)(((k1 + 2 k2) + 2 k3) + k4) with k_v = 1, so the result is the
+    same to the bit.  A non-finite stage state raises DomainError, as
+    `as_state` does.
     """
     _check_family(fam)
     base = as_state(base)
@@ -228,16 +237,26 @@ def rarefaction(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
         speed = float(eigenvalues(state, params)[fam - 1])
         return CurvePoint(state=state, speed=speed, param=s,
                           warnings=_curve_warnings(base, 0.0, state))
+    eta = params.eta
+
+    def r2(u, v, w):
+        if not (isfinite(u) and isfinite(v) and isfinite(w)):
+            as_state((u, v, w))  # non-finite: raises the DomainError of as_state
+        return _r2_uw_at(u, v, w, eta)
+
     n_steps = max(64, int(np.ceil(abs(s) / ODE_STEP)))
-    h = s / n_steps
-    y = base.copy()
+    h = float(s) / n_steps
+    half, sixth = 0.5 * h, h / 6.0
+    u, v, w = base.tolist()
     for _ in range(n_steps):
-        k1 = r2_direction(y, params)
-        k2 = r2_direction(y + 0.5 * h * k1, params)
-        k3 = r2_direction(y + 0.5 * h * k2, params)
-        k4 = r2_direction(y + h * k3, params)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    y[1] = base[1] + s  # the field has v-component exactly 1; pin the endpoint
+        k1u, k1w = r2(u, v, w)
+        k2u, k2w = r2(u + half * k1u, v + half, w + half * k1w)
+        k3u, k3w = r2(u + half * k2u, v + half, w + half * k2w)
+        k4u, k4w = r2(u + h * k3u, v + h, w + h * k3w)
+        u += sixth * (((k1u + 2.0 * k2u) + 2.0 * k3u) + k4u)
+        v += sixth * 6.0  # k_v = 1: the k-sum ((1 + 2) + 2) + 1, and not h
+        w += sixth * (((k1w + 2.0 * k2w) + 2.0 * k3w) + k4w)
+    y = np.array([u, base[1] + s, w])  # the field has v-component exactly 1; pin the endpoint
     speed = 2.0 * y[1]  # middle eigenvalue is exactly 2v
     return CurvePoint(state=y, speed=speed, param=s,
                       warnings=_curve_warnings(base, s, y))

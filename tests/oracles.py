@@ -4,8 +4,9 @@ The library computes the eigenstructure, the nonlinearity factors and the
 states inside rarefaction fans from closed forms.  These routines reach the
 same quantities without them: the roots of the characteristic cubic of the
 Jacobian, SVD null vectors, central finite differences of the roots, and
-bisection on the family speed along the rarefaction curve.  The tracker's
-observables are recomputed by a plain loop over the fronts.
+bisection on the family speed along the rarefaction curve.  The family-2
+rarefaction is integrated by an RK4 on state arrays with `r2_direction`.
+The tracker's observables are recomputed by a plain loop over the fronts.
 """
 
 import numpy as np
@@ -98,6 +99,27 @@ def fd_nonlinearity(U, params, step=1e-5):
         r = r / r[:, pivot, None]
         out[:, i] = np.einsum("nk,nk->n", grad[:, i, :], r)
     return out
+
+
+def rk4_rarefaction2(base, s, params):
+    """Family-2 `wavecurves.rarefaction` as an RK4 on (3,) arrays.
+
+    Four `r2_direction` calls per step, each checking its state with
+    `as_state`; the step rule and the pinned endpoint are those of the library.
+    """
+    base = fx.as_state(base)
+    n_steps = max(64, int(np.ceil(abs(s) / wc.ODE_STEP)))
+    h = s / n_steps
+    y = base.copy()
+    for _ in range(n_steps):
+        k1 = fx.r2_direction(y, params)
+        k2 = fx.r2_direction(y + 0.5 * h * k1, params)
+        k3 = fx.r2_direction(y + 0.5 * h * k2, params)
+        k4 = fx.r2_direction(y + h * k3, params)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y[1] = base[1] + s
+    return wc.CurvePoint(state=y, speed=2.0 * y[1], param=s,
+                         warnings=wc._curve_warnings(base, s, y))
 
 
 def bisect_rarefaction(wave, xi, params, tol=1e-12):

@@ -9,7 +9,8 @@ import pytest
 
 import bjsystem.flux as fx
 import bjsystem.wavecurves as wc
-from bjsystem.errors import SingularCurveError
+import oracles
+from bjsystem.errors import DomainError, SingularCurveError
 from bjsystem.flux import ModelParams
 
 P0 = ModelParams(0.0)
@@ -149,6 +150,44 @@ def test_rarefaction_family2_v_additivity_exact():
             s = rng.uniform(0.01, 0.3)
             point = wc.rarefaction(2, base, s, params)
             assert point.state[1] == base[1] + s
+
+
+# Two of the rare (base, s) where (h/6) 6 != h in the v-update changes the
+# rounding of the endpoint's u or w (about one in 4000 ball samples); between
+# them they show it at every eta below.
+V_UPDATE_CASES = (
+    ([-0.11615230783803557, 0.7966607602373975, 0.1116384027513176], 0.05525094167338906),
+    ([-0.1616153065858679, 0.0029921418129970133, -0.010498803321599512], -0.05265265948820664),
+)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1e-3, 0.05, 0.2, 0.2499])
+def test_rarefaction_family2_equals_the_array_rk4_bit_for_bit(eta):
+    # |s| below 64 ODE_STEP runs the 64-step floor, above it ceil(|s| / ODE_STEP)
+    # steps; arrays print every float in its shortest round-trip form
+    params = ModelParams(eta)
+    rng = np.random.default_rng([1505, int(eta * 1e4)])
+    cases = list(V_UPDATE_CASES)
+    for base in oracles.ball_sample(rng, 12, 0.9):
+        for lo, hi in ((1e-3, 0.064), (0.064, 0.2)):
+            for sign in (1.0, -1.0):
+                cases.append((base, sign * rng.uniform(lo, hi)))
+    with np.printoptions(floatmode="unique"):
+        for base, s in cases:
+            point = wc.rarefaction(2, base, s, params)
+            assert repr(point) == repr(oracles.rk4_rarefaction2(base, s, params))
+
+
+def test_rarefaction_family2_stage_at_a_family_crossing_raises_domain_error():
+    # at v = 2 and eta = 0 the first stage divides by a zero determinant
+    with pytest.warns(RuntimeWarning), pytest.raises(DomainError, match="non-finite"):
+        wc.rarefaction(2, [0.1, 2.0, 0.0], 0.01, P0)
+
+
+def test_rarefaction_family2_non_finite_stage_raises_domain_error():
+    # a finite base whose first direction overflows to nan
+    with pytest.raises(DomainError, match="non-finite"):
+        wc.rarefaction(2, [1e308, 0.0, 0.0], 0.01, ModelParams(0.1))
 
 
 def test_rarefaction_family2_endpoint_speed():

@@ -34,9 +34,16 @@ exactly the row a batch gives.
 
 The Jacobian entries are written once (`_jacobian_rows`) and r_2 is solved
 from them once (`_r2_uw_rows`).  `jacobian`, `r2_direction`, `eigensystem`
-and `check_genuine_nonlinearity` use them, and so does the family-2
-rarefaction RK4 in `wavecurves`, which calls `_r2_uw_at` on the three floats
-of each stage state without building an array.
+and `check_genuine_nonlinearity` use them.
+
+In the line coordinates (`_line_coords`, `_from_line_coords`)
+
+    beta = (v u - w)/2,   alpha = u - beta,   (u, w) = (alpha + beta, v u - 2 beta),
+
+r_1 moves only alpha, r_3 moves only beta, lambda_1 = -4 + 4 eta alpha and
+lambda_3 = 4 - 4 eta beta.  Along r_2, parametrized by v, (alpha, beta)
+solve a 2-D system with a cheap right-hand side (`_r2_line_at`), which the
+family-2 rarefaction in `wavecurves` integrates on Python floats.
 """
 
 import math
@@ -256,6 +263,45 @@ def _r2_uw_at(u, v, w, eta):
     are closed-form for every eta).
     """
     return _r2_uw_rows(_jacobian_rows(u, v, w, eta), 2.0 * v)
+
+
+def _line_coords(u, v, w):
+    """Line coordinates (alpha, beta) of the state (u, v, w)."""
+    beta = 0.5 * (v * u - w)
+    return u - beta, beta
+
+
+def _from_line_coords(alpha, v, beta):
+    """(u, w) of the line coordinates (alpha, v, beta)."""
+    u = alpha + beta
+    return u, v * u - 2.0 * beta
+
+
+def _r2_line_at(alpha, v, beta, eta):
+    """(alpha', beta') along r_2 parametrized by v, at Python floats.
+
+    With N = alpha (v + 2 - eta alpha) + beta (v - 2 + eta beta),
+
+        alpha' = -N / (2 (v + 2 - 2 eta alpha)),   beta' = N / (2 (v - 2 + 2 eta beta)),
+
+    whose denominators are (lambda_2 - lambda_1)/2 and (lambda_2 - lambda_3)/2.
+    A non-finite state, or one where family 2 meets family 1 or 3, raises
+    DomainError.
+    """
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise DomainError(
+            f"state has non-finite components: line coordinates ({alpha}, {v}, {beta})"
+        )
+    d1 = v + 2.0 - 2.0 * eta * alpha
+    d3 = v - 2.0 + 2.0 * eta * beta
+    if d1 == 0.0 or d3 == 0.0:
+        u, w = _from_line_coords(alpha, v, beta)
+        raise DomainError(
+            f"r_2 undefined where family 2 crosses family {1 if d1 == 0.0 else 3}: "
+            f"U={[u, v, w]}, v={v}, eta={eta}"
+        )
+    n = alpha * (v + 2.0 - eta * alpha) + beta * (v - 2.0 + eta * beta)
+    return -0.5 * n / d1, 0.5 * n / d3
 
 
 def r2_direction(U, params: ModelParams) -> np.ndarray:

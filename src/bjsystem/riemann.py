@@ -13,7 +13,7 @@ strength, so for a given s1 the 3-strength is fixed as well:
 
 What remains is the scalar equation g(s1) = w_C(s1) - w_r = 0, solved by a
 secant iteration in s1.  Each evaluation of g costs one middle wave (a
-Newton solve or an RK4 integration).  At eta = 0 the 2-curve is affine in
+Newton solve or an adaptive Dormand-Prince integration).  At eta = 0 the 2-curve is affine in
 (u, w) on both branches, so g is affine and the first secant step lands:
 three middle-wave evaluations per solve.
 """

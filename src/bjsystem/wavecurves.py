@@ -9,21 +9,26 @@ closed form
 
 with shock speed gamma = 2 vb + s, and E singular at |2 vb + s| = 4.  For
 eta > 0 the shock branch is continued by Newton on the Rankine-Hugoniot
-system; the rarefaction branch integrates the middle eigenvector field.
+system.  The rarefaction branch integrates the middle eigenvector field as a
+2-D ODE in v for the line coordinates (alpha, beta) of `flux`, with an
+adaptive Dormand-Prince 5(4) pair whose local error tolerance is RARE_TOL
+relative to 1 + max(|alpha|, |beta|).
 
 Sign conventions: shocks sit at s < 0 for families 1 and 2 and at s > 0 for
 family 3 (reversed orientation of the third field).
 """
 
 from dataclasses import dataclass
-from math import isfinite
+from math import ulp
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularCurveError
 from .flux import (  # noqa: F401  (r2_direction is re-exported)
     ModelParams,
-    _r2_uw_at,
+    _from_line_coords,
+    _line_coords,
+    _r2_line_at,
     as_state,
     eigenvalues,
     jacobian,
@@ -31,7 +36,7 @@ from .flux import (  # noqa: F401  (r2_direction is re-exported)
 )
 from .flux import flux as flux_fn
 
-ODE_STEP = 1e-3
+RARE_TOL = 1e-14
 SPEED_WARN = 3.0
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -213,19 +218,84 @@ def hugoniot(fam: int, base, s: float, params: ModelParams,
     )
 
 
+# Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 1980): nodes, stage
+# weights, the 5th-order weights (the 7th stage, at the step's result, is the
+# first of the next step) and the error weights, 5th-order minus 4th-order.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
+                                22 / 525, -1 / 40)
+
+
+def _rarefaction2(base, s: float, eta: float):
+    """(u, w) at v = vb + s on the 2-rarefaction through base; see `rarefaction`."""
+    rhs = _r2_line_at
+    u, v, w = base.tolist()
+    a, b = _line_coords(u, v, w)
+    v_end = v + s
+    h = v_end - v  # s, as far as v resolves it: the first trial step lands on v_end
+    ka1, kb1 = rhs(a, v, b, eta)
+    while True:
+        last = abs(h) >= abs(v_end - v)
+        if last:
+            h = v_end - v
+        ka2, kb2 = rhs(a + h * (_A21 * ka1), v + _C2 * h, b + h * (_A21 * kb1), eta)
+        ka3, kb3 = rhs(a + h * (_A31 * ka1 + _A32 * ka2), v + _C3 * h,
+                       b + h * (_A31 * kb1 + _A32 * kb2), eta)
+        ka4, kb4 = rhs(a + h * (_A41 * ka1 + _A42 * ka2 + _A43 * ka3), v + _C4 * h,
+                       b + h * (_A41 * kb1 + _A42 * kb2 + _A43 * kb3), eta)
+        ka5, kb5 = rhs(a + h * (_A51 * ka1 + _A52 * ka2 + _A53 * ka3 + _A54 * ka4), v + _C5 * h,
+                       b + h * (_A51 * kb1 + _A52 * kb2 + _A53 * kb3 + _A54 * kb4), eta)
+        ka6, kb6 = rhs(a + h * (_A61 * ka1 + _A62 * ka2 + _A63 * ka3 + _A64 * ka4 + _A65 * ka5),
+                       v + h,
+                       b + h * (_A61 * kb1 + _A62 * kb2 + _A63 * kb3 + _A64 * kb4 + _A65 * kb5),
+                       eta)
+        a_new = a + h * (_B1 * ka1 + _B3 * ka3 + _B4 * ka4 + _B5 * ka5 + _B6 * ka6)
+        b_new = b + h * (_B1 * kb1 + _B3 * kb3 + _B4 * kb4 + _B5 * kb5 + _B6 * kb6)
+        ka7, kb7 = rhs(a_new, v + h, b_new, eta)
+        err = abs(h) * max(
+            abs(_E1 * ka1 + _E3 * ka3 + _E4 * ka4 + _E5 * ka5 + _E6 * ka6 + _E7 * ka7),
+            abs(_E1 * kb1 + _E3 * kb3 + _E4 * kb4 + _E5 * kb5 + _E6 * kb6 + _E7 * kb7),
+        )
+        tol = RARE_TOL * (1.0 + max(abs(a_new), abs(b_new)))
+        if err <= tol:
+            if last:
+                return _from_line_coords(a_new, v_end, b_new)
+            a, b, v, ka1, kb1 = a_new, b_new, v + h, ka7, kb7
+            h *= min(5.0, 0.9 * (tol / err) ** 0.2) if err > 0.0 else 5.0
+            continue
+        h *= max(0.2, 0.9 * (tol / err) ** 0.2)  # a nan estimate shrinks by 0.2 too
+        if not abs(h) >= 16.0 * ulp(v):
+            u, w = _from_line_coords(a, v, b)
+            raise ConvergenceError(
+                f"2-rarefaction step size collapsed at v = {v} (error estimate {err:.3e}, "
+                f"tolerance {tol:.3e}, eta = {eta})",
+                iterate=np.array([u, v, w]),
+                residual=err,
+            )
+
+
 def rarefaction(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
     """Point at parameter s on the family-`fam` rarefaction curve through `base`.
 
-    Families 1 and 3 coincide with the Hugoniot lines; family 2 integrates
-    the middle eigenvector field (v-component normalized to 1) with fixed-step
-    RK4, so the v-component of the result is exactly vb + s.
+    Families 1 and 3 coincide with the Hugoniot lines.  Family 2 integrates
+    the middle eigenvector field (v-component normalized to 1) in the line
+    coordinates (alpha, beta) of `flux`, as a 2-D ODE in v on Python floats,
+    with the adaptive embedded Dormand-Prince 5(4) pair: the first trial step
+    is s, a step is accepted when the error estimate
+    max(|e_alpha|, |e_beta|) <= RARE_TOL (1 + max(|alpha|, |beta|)) with
+    RARE_TOL = 1e-14, and the last step is clamped to land on vb + s, so the
+    v-component of the result is exactly vb + s.
 
-    The RK4 runs on (u, v, w) as three Python floats.  Each stage takes
-    (r_u, r_w) from `flux._r2_uw_at`, the formula behind `r2_direction`, and
-    the arithmetic is that of the array form y + (h/2) k and
-    y + (h/6)(((k1 + 2 k2) + 2 k3) + k4) with k_v = 1, so the result is the
-    same to the bit.  A non-finite stage state raises DomainError, as
-    `as_state` does.
+    A non-finite stage state raises DomainError, and so does a stage where
+    the middle family meets the first or the third.  If the step size
+    collapses below the resolution of v, ConvergenceError carries the
+    reached state and the error estimate.
     """
     _check_family(fam)
     base = as_state(base)
@@ -237,26 +307,8 @@ def rarefaction(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
         speed = float(eigenvalues(state, params)[fam - 1])
         return CurvePoint(state=state, speed=speed, param=s,
                           warnings=_curve_warnings(base, 0.0, state))
-    eta = params.eta
-
-    def r2(u, v, w):
-        if not (isfinite(u) and isfinite(v) and isfinite(w)):
-            as_state((u, v, w))  # non-finite: raises the DomainError of as_state
-        return _r2_uw_at(u, v, w, eta)
-
-    n_steps = max(64, int(np.ceil(abs(s) / ODE_STEP)))
-    h = float(s) / n_steps
-    half, sixth = 0.5 * h, h / 6.0
-    u, v, w = base.tolist()
-    for _ in range(n_steps):
-        k1u, k1w = r2(u, v, w)
-        k2u, k2w = r2(u + half * k1u, v + half, w + half * k1w)
-        k3u, k3w = r2(u + half * k2u, v + half, w + half * k2w)
-        k4u, k4w = r2(u + h * k3u, v + h, w + h * k3w)
-        u += sixth * (((k1u + 2.0 * k2u) + 2.0 * k3u) + k4u)
-        v += sixth * 6.0  # k_v = 1: the k-sum ((1 + 2) + 2) + 1, and not h
-        w += sixth * (((k1w + 2.0 * k2w) + 2.0 * k3w) + k4w)
-    y = np.array([u, base[1] + s, w])  # the field has v-component exactly 1; pin the endpoint
+    u, w = _rarefaction2(base, float(s), params.eta)
+    y = np.array([u, base[1] + s, w])
     speed = 2.0 * y[1]  # middle eigenvalue is exactly 2v
     return CurvePoint(state=y, speed=speed, param=s,
                       warnings=_curve_warnings(base, s, y))

@@ -5,7 +5,8 @@ states inside rarefaction fans from closed forms.  These routines reach the
 same quantities without them: the roots of the characteristic cubic of the
 Jacobian, SVD null vectors, central finite differences of the roots, and
 bisection on the family speed along the rarefaction curve.  The family-2
-rarefaction is integrated by an RK4 on state arrays with `r2_direction`.
+rarefaction is integrated by a fixed-step RK4 on state arrays with
+`r2_direction`, and has a closed form at eta = 0.
 The tracker's observables are recomputed by a plain loop over the fronts.
 """
 
@@ -101,14 +102,15 @@ def fd_nonlinearity(U, params, step=1e-5):
     return out
 
 
-def rk4_rarefaction2(base, s, params):
-    """Family-2 `wavecurves.rarefaction` as an RK4 on (3,) arrays.
+def rk4_rarefaction2(base, s, params, step=1e-3):
+    """Family-2 rarefaction point by a fixed-step RK4 on (3,) arrays.
 
     Four `r2_direction` calls per step, each checking its state with
-    `as_state`; the step rule and the pinned endpoint are those of the library.
+    `as_state`; max(64, ceil(|s| / step)) steps, and the v-component of the
+    endpoint pinned to vb + s.
     """
     base = fx.as_state(base)
-    n_steps = max(64, int(np.ceil(abs(s) / wc.ODE_STEP)))
+    n_steps = max(64, int(np.ceil(abs(s) / step)))
     h = s / n_steps
     y = base.copy()
     for _ in range(n_steps):
@@ -120,6 +122,35 @@ def rk4_rarefaction2(base, s, params):
     y[1] = base[1] + s
     return wc.CurvePoint(state=y, speed=2.0 * y[1], param=s,
                          warnings=wc._curve_warnings(base, s, y))
+
+
+def closed_form_rarefaction2(base, s):
+    """Family-2 rarefaction point at eta = 0 in closed form.
+
+    With beta = (v u - w)/2 and alpha = u - beta, N = alpha (v + 2) + beta (v - 2)
+    solves N'' = 2 N / (v^2 - 4) along the curve, with N' = alpha + beta.  Its
+    solutions are spanned by N1 = v^2 - 4 and
+    N2 = -v/8 + (v^2 - 4)/32 ln((2 + v)/(2 - v)), whose Wronskian is 1, and
+    alpha = (N - (v - 2) N')/4, beta = ((v + 2) N' - N)/4.
+    """
+    u, vb, w = fx.as_state(base).tolist()
+
+    def basis(v):
+        """N1, N2 and their v-derivatives at v."""
+        half_log = np.arctanh(0.5 * v)  # ln((2 + v)/(2 - v)) / 2
+        n2 = -v / 8.0 + (v * v - 4.0) * half_log / 16.0
+        return v * v - 4.0, n2, 2.0 * v, v * half_log / 8.0 - 0.25
+
+    beta = 0.5 * (vb * u - w)
+    alpha = u - beta
+    n, dn = alpha * (vb + 2.0) + beta * (vb - 2.0), alpha + beta
+    n1, n2, dn1, dn2 = basis(vb)
+    c1, c2 = dn2 * n - n2 * dn, n1 * dn - dn1 * n
+    v = vb + s
+    n1, n2, dn1, dn2 = basis(v)
+    n, dn = c1 * n1 + c2 * n2, c1 * dn1 + c2 * dn2
+    alpha, beta = (n - (v - 2.0) * dn) / 4.0, ((v + 2.0) * dn - n) / 4.0
+    return np.array([alpha + beta, v, v * (alpha + beta) - 2.0 * beta])
 
 
 def bisect_rarefaction(wave, xi, params, tol=1e-12):

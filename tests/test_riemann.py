@@ -253,11 +253,11 @@ def test_outside_ball_warning():
     "eta, strengths, expected",
     [
         # a 2-rarefaction between outer rarefactions
-        (0.05, (0.03, 0.08, -0.02), (0.029999999999999853, 0.08, -0.019999999999999865)),
+        (0.05, (0.03, 0.08, -0.02), (0.029999999999999978, 0.08, -0.020000000000000018)),
         # a 2-shock between contacts
         (0.0, (0.04, -0.1, 0.05), (0.04000000000000004, -0.10000000000000003, 0.04999999999999999)),
         # a 2-rarefaction between contacts
-        (0.0, (0.03, 0.2, -0.02), (0.03000000000000018, 0.2, -0.020000000000000115)),
+        (0.0, (0.03, 0.2, -0.02), (0.029999999999999954, 0.2, -0.020000000000000004)),
     ],
 )
 def test_solve_evaluates_each_middle_wave_once(monkeypatch, eta, strengths, expected):
@@ -297,5 +297,18 @@ def test_seeded_random_pairs_solve_and_pass_diagnostics(eta):
     pairs = oracles.ball_sample(rng, 20, 0.9).reshape(10, 2, 3)
     for Ul, Ur in pairs:
         fan = solve_riemann(Ul, Ur, params)
+        assert check_fan(fan, params).ok
+        assert fan.residual <= 1e-12
+
+
+@pytest.mark.parametrize("eta", list(FUZZ_SEEDS))
+def test_seeded_random_pairs_with_a_2_rarefaction_solve_and_pass_diagnostics(eta):
+    params = ModelParams(eta)
+    rng = np.random.default_rng([2027, FUZZ_SEEDS[eta]])
+    for Ul, Ur in oracles.ball_sample(rng, 100, 0.95).reshape(50, 2, 3):
+        if Ul[1] > Ur[1]:
+            Ul, Ur = Ur, Ul  # s2 = v_r - v_l > 0: the middle wave is a 2-rarefaction
+        fan = solve_riemann(Ul, Ur, params)
+        assert [w.kind for w in fan.waves if w.family == 2] == [RAREFACTION]
         assert check_fan(fan, params).ok
         assert fan.residual <= 1e-12

@@ -4,13 +4,15 @@ The closed form is checked against a test-local Rankine-Hugoniot Newton solve
 that starts from the base state (never from the closed form itself).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 import bjsystem.flux as fx
 import bjsystem.wavecurves as wc
 import oracles
-from bjsystem.errors import DomainError, SingularCurveError
+from bjsystem.errors import ConvergenceError, DomainError, SingularCurveError
 from bjsystem.flux import ModelParams
 
 P0 = ModelParams(0.0)
@@ -152,36 +154,71 @@ def test_rarefaction_family2_v_additivity_exact():
             assert point.state[1] == base[1] + s
 
 
-# Two of the rare (base, s) where (h/6) 6 != h in the v-update changes the
-# rounding of the endpoint's u or w (about one in 4000 ball samples); between
-# them they show it at every eta below.
-V_UPDATE_CASES = (
-    ([-0.11615230783803557, 0.7966607602373975, 0.1116384027513176], 0.05525094167338906),
-    ([-0.1616153065858679, 0.0029921418129970133, -0.010498803321599512], -0.05265265948820664),
-)
+def _rarefaction_cases(rng, n, s_max=0.3):
+    """n (base, s) with |base| <= 0.9 and |s| log-uniform in [1e-4, s_max], both signs."""
+    bases = oracles.ball_sample(rng, n, 0.9)
+    sizes = np.exp(rng.uniform(np.log(1e-4), np.log(s_max), n))
+    return list(zip(bases, sizes * rng.choice((-1.0, 1.0), n)))
+
+
+def test_rarefaction_family2_matches_the_closed_form_at_eta0():
+    worst = 0.0
+    for base, s in _rarefaction_cases(np.random.default_rng(1505), 1200):
+        error = wc.rarefaction(2, base, s, P0).state - oracles.closed_form_rarefaction2(base, s)
+        worst = max(worst, float(np.max(np.abs(error))))
+    assert worst <= 4e-15
 
 
 @pytest.mark.parametrize("eta", [0.0, 1e-3, 0.05, 0.2, 0.2499])
-def test_rarefaction_family2_equals_the_array_rk4_bit_for_bit(eta):
-    # |s| below 64 ODE_STEP runs the 64-step floor, above it ceil(|s| / ODE_STEP)
-    # steps; arrays print every float in its shortest round-trip form
+def test_rarefaction_family2_matches_the_array_rk4(eta):
     params = ModelParams(eta)
-    rng = np.random.default_rng([1505, int(eta * 1e4)])
-    cases = list(V_UPDATE_CASES)
-    for base in oracles.ball_sample(rng, 12, 0.9):
-        for lo, hi in ((1e-3, 0.064), (0.064, 0.2)):
-            for sign in (1.0, -1.0):
-                cases.append((base, sign * rng.uniform(lo, hi)))
-    with np.printoptions(floatmode="unique"):
-        for base, s in cases:
-            point = wc.rarefaction(2, base, s, params)
-            assert repr(point) == repr(oracles.rk4_rarefaction2(base, s, params))
+    worst = 0.0
+    for base, s in _rarefaction_cases(np.random.default_rng([1505, int(eta * 1e4)]), 40):
+        rk4 = oracles.rk4_rarefaction2(base, s, params)
+        error = wc.rarefaction(2, base, s, params).state - rk4.state
+        worst = max(worst, float(np.max(np.abs(error))))
+    assert worst <= 2e-14
+
+
+@pytest.mark.parametrize("eta", [0.0, 1e-3, 0.05, 0.2, 0.2499])
+def test_rarefaction_family2_evaluation_count(monkeypatch, eta):
+    # the fixed-step RK4 this integrator replaced took 4 max(64, ceil(|s| / 1e-3))
+    params = ModelParams(eta)
+    calls = []
+    original = wc._r2_line_at
+
+    def counting(alpha, v, beta, eta):
+        calls.append(v)
+        return original(alpha, v, beta, eta)
+
+    monkeypatch.setattr(wc, "_r2_line_at", counting)
+    rng = np.random.default_rng([1506, int(eta * 1e4)])
+    for base, s in _rarefaction_cases(rng, 100, 5e-3) + _rarefaction_cases(rng, 100):
+        calls.clear()
+        wc.rarefaction(2, base, s, params)
+        if abs(s) <= 5e-3:
+            assert len(calls) <= 7  # one accepted trial step: the first stage and six more
+        assert 3 * len(calls) <= 4 * max(64, int(np.ceil(abs(s) / 1e-3)))
 
 
 def test_rarefaction_family2_stage_at_a_family_crossing_raises_domain_error():
-    # at v = 2 and eta = 0 the first stage divides by a zero determinant
-    with pytest.warns(RuntimeWarning), pytest.raises(DomainError, match="non-finite"):
-        wc.rarefaction(2, [0.1, 2.0, 0.0], 0.01, P0)
+    # at v = 2 and eta = 0 the middle family meets the third: lambda_2 = lambda_3 = 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="crosses family 3.*eta=0.0"):
+            wc.rarefaction(2, [0.1, 2.0, 0.0], 0.01, P0)
+
+
+def test_rarefaction_family2_step_collapse_raises_convergence_error(monkeypatch):
+    # no step meets a zero tolerance, so the step size shrinks to the resolution of v
+    monkeypatch.setattr(wc, "RARE_TOL", 0.0)
+    base = np.array([0.1, -0.2, 0.15])
+    with pytest.raises(ConvergenceError, match="collapsed") as err:
+        wc.rarefaction(2, base, 0.05, ModelParams(0.05))
+    # no step was accepted: the reached state is the base, through the line coordinates
+    assert err.value.iterate[1] == base[1]
+    assert np.max(np.abs(err.value.iterate - base)) <= 1e-16
+    assert err.value.residual > 0.0
 
 
 def test_rarefaction_family2_non_finite_stage_raises_domain_error():

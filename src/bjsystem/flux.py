@@ -33,8 +33,8 @@ double arithmetic in the same operation order, so a single state gives
 exactly the row a batch gives.
 
 The Jacobian entries are written once (`_jacobian_rows`) and r_2 is solved
-from them once (`_r2_uw_rows`).  `jacobian`, `r2_direction`, `eigensystem`
-and `check_genuine_nonlinearity` use them.
+from them once (`_r2_uw_rows`).  `jacobian`, `r2_direction` and
+`eigensystem` use them.
 
 In the line coordinates (`_line_coords`, `_from_line_coords`)
 
@@ -234,9 +234,8 @@ def _r2_uw_rows(rows, lam2):
     """(u, w) components of the middle eigenvector normalized to v-component 1.
 
     Solves rows 1 and 3 of (J - lam2 I) r = 0 with r_v = 1, given the entries
-    of J as rows.  A single state at a family crossing (zero determinant)
-    divides by zero as numpy does, inf or nan and a RuntimeWarning, instead of
-    raising ZeroDivisionError.
+    of J as rows.  The determinant vanishes where family 2 meets family 1 or
+    3: Python floats raise ZeroDivisionError there, arrays give inf or nan.
     """
     (j00, j01, j02), _, (j20, j21, j22) = rows
     a = j00 - lam2
@@ -244,8 +243,6 @@ def _r2_uw_rows(rows, lam2):
     c = j20
     d = j22 - lam2
     det = a * d - b * c
-    if type(det) is float and det == 0.0:
-        det = np.float64(det)
     ru = (-j01 * d + j21 * b) / det
     rw = (-j21 * a + j01 * c) / det
     return ru, rw
@@ -254,15 +251,6 @@ def _r2_uw_rows(rows, lam2):
 def _r2_uw(J, lam2):
     """`_r2_uw_rows` of a Jacobian array, one state or a batch."""
     return _r2_uw_rows(_entries(J, 2), lam2)
-
-
-def _r2_uw_at(u, v, w, eta):
-    """(r_u, r_w) at the components (u, v, w), Python floats or arrays.
-
-    The middle eigenvalue is exactly 2v (trace identity; the outer eigenpairs
-    are closed-form for every eta).
-    """
-    return _r2_uw_rows(_jacobian_rows(u, v, w, eta), 2.0 * v)
 
 
 def _line_coords(u, v, w):
@@ -305,18 +293,30 @@ def _r2_line_at(alpha, v, beta, eta):
 
 
 def r2_direction(U, params: ModelParams) -> np.ndarray:
-    """Middle-field eigenvector with v-component exactly 1."""
-    ru, rw = _r2_uw_at(*as_state(U).tolist(), params.eta)
+    """Middle-field eigenvector with v-component exactly 1.
+
+    The middle eigenvalue is exactly 2v (trace identity; the outer eigenpairs
+    are closed-form for every eta).  Where family 2 meets family 1 or 3, r_2
+    is undefined and DomainError names the state and eta.
+    """
+    u, v, w = as_state(U).tolist()
+    try:
+        ru, rw = _r2_uw_rows(_jacobian_rows(u, v, w, params.eta), 2.0 * v)
+    except ZeroDivisionError:
+        raise DomainError(
+            f"r_2 undefined where family 2 crosses family 1 or 3: U={[u, v, w]}, "
+            f"eta={params.eta}"
+        ) from None
     return np.array([ru, 1.0, rw])
 
 
-def eigensystem(U, params: ModelParams, tol: float = TOL_EIG) -> EigenSystem:
+def eigensystem(U, params: ModelParams) -> EigenSystem:
     """Full eigensystem at a state.
 
     Families 1 and 3 return the straight-line eigenvectors (1, 0, v) and
     (1, 0, v-2); the middle eigenvector is normalized to v-component 1.
     Raises HyperbolicityError when the eigenvalues are not strictly ordered
-    or an eigenpair residual |DF r - lambda r| exceeds `tol`.
+    or an eigenpair residual |DF r - lambda r| exceeds TOL_EIG.
     """
     U = as_state(U)
     lam = eigenvalues(U, params)
@@ -325,9 +325,9 @@ def eigensystem(U, params: ModelParams, tol: float = TOL_EIG) -> EigenSystem:
     ru, rw = _r2_uw(J, lam[1])
     rvec = np.array([[1.0, 0.0, v], [ru, 1.0, rw], [1.0, 0.0, v - 2.0]])
     residuals = np.linalg.norm(rvec @ J.T - lam[:, None] * rvec, axis=1)
-    if residuals.max() > tol:
+    if residuals.max() > TOL_EIG:
         raise HyperbolicityError(
-            f"eigenpair residual {residuals.max():.3e} above tolerance {tol:.1e}", state=U
+            f"eigenpair residual {residuals.max():.3e} above tolerance {TOL_EIG:.1e}", state=U
         )
     return EigenSystem(lam=lam, rvec=rvec, residuals=residuals)
 
@@ -447,13 +447,13 @@ def check_genuine_nonlinearity(
     Each sample dots the analytic eigenvalue gradients
 
         grad(lambda_1) = eta (4 - 2v, -2u, 2),
-        grad(lambda_2) = (0, 2, 0),
         grad(lambda_3) = eta (-2v, -2u, 2)
 
-    with the closed-form eigenvectors.  Family 3 carries the reversed
-    orientation, so genuine nonlinearity shows up there as values bounded
-    away from zero *below*.  At eta = 0 families 1 and 3 are linearly
-    degenerate and are reported as such.
+    with the closed-form eigenvectors.  grad(lambda_2) = (0, 2, 0) and r_2
+    has v-component 1, so family 2 reports exactly (2, 2).  Family 3 carries
+    the reversed orientation, so genuine nonlinearity shows up there as
+    values bounded away from zero *below*.  At eta = 0 families 1 and 3 are
+    linearly degenerate and are reported as such.
     """
     _check_sampling(radius, n_samples)
     U = sample_ball(n_samples, radius, seed)
@@ -462,20 +462,16 @@ def check_genuine_nonlinearity(
     eta = params.eta
     ones, zeros = np.ones(n), np.zeros(n)
     grad1 = eta * np.column_stack([4.0 - 2.0 * v, -2.0 * u, 2.0 * ones])
-    grad2 = np.column_stack([zeros, 2.0 * ones, zeros])
     grad3 = eta * np.column_stack([-2.0 * v, -2.0 * u, 2.0 * ones])
 
     r1 = np.column_stack([ones, zeros, v])
     r3 = np.column_stack([ones, zeros, v - 2.0])
-    ru, rw = _r2_uw_at(u, v, U[:, 2], eta)
-    r2 = np.column_stack([ru, ones, rw])
 
     g1 = np.einsum("nk,nk->n", grad1, r1)
-    g2 = np.einsum("nk,nk->n", grad2, r2)
     g3 = np.einsum("nk,nk->n", grad3, r3)
 
     f1 = (float(g1.min()), float(g1.max()))
-    f2 = (float(g2.min()), float(g2.max()))
+    f2 = (2.0, 2.0)
     f3 = (float(g3.min()), float(g3.max()))
     if params.eta > 0.0:
         degenerate = ()

@@ -9,7 +9,8 @@ exact linear motion rather than mutated positions.
 
 A standalone scalar tracker for the decoupled v-component (flux v^2) serves
 as an independent oracle: 2-shock speeds are v_left + v_right for every eta,
-so the v-projection of the system run must reproduce it exactly.
+and the system's fronts carry that speed bit for bit, so the v-projection of
+the system run must reproduce it exactly.
 """
 
 from dataclasses import dataclass, field
@@ -61,7 +62,6 @@ class CollisionEvent:
 class TrackerParams:
     model: ModelParams
     delta: float = DELTA_DEFAULT
-    tol_event: float = TOL_EVENT
 
 
 @dataclass
@@ -152,7 +152,6 @@ def init_from_piecewise(
     U_leftmost,
     model: ModelParams,
     delta: float = DELTA_DEFAULT,
-    tol_event: float = TOL_EVENT,
 ) -> TrackerState:
     """Build a tracker from jump positions and the states to their right.
 
@@ -166,7 +165,7 @@ def init_from_piecewise(
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise DomainError("jump positions must be strictly increasing")
     st = TrackerState(
-        params=TrackerParams(model=model, delta=delta, tol_event=tol_event),
+        params=TrackerParams(model=model, delta=delta),
         time=0.0,
         fronts=[],
         left_boundary_state=U_leftmost,
@@ -202,33 +201,32 @@ class CollisionCandidate:
     indices: tuple
 
 
-def _pair_collision_time(left: Front, right: Front, now: float, tol: float):
+def _pair_collision_time(left: Front, right: Front, now: float):
     dv = left.speed - right.speed
     if dv <= SPEED_TIE_TOL:
         return None
     b_left = left.birth_x - left.speed * left.birth_t
     b_right = right.birth_x - right.speed * right.birth_t
     t = (b_right - b_left) / dv
-    if t < now - tol:
+    if t < now - TOL_EVENT:
         return None
     return max(t, now)
 
 
 def next_collision(st: TrackerState) -> CollisionCandidate | None:
-    """Earliest upcoming collision, with simultaneous hits at one point merged.
+    """Earliest upcoming collision, with hits within TOL_EVENT at one point merged.
 
     Ties at distinct positions resolve left to right.
     """
-    tol = st.params.tol_event
     times = []
     for i in range(len(st.fronts) - 1):
-        t = _pair_collision_time(st.fronts[i], st.fronts[i + 1], st.time, tol)
+        t = _pair_collision_time(st.fronts[i], st.fronts[i + 1], st.time)
         times.append(t)
     live = [(t, i) for i, t in enumerate(times) if t is not None]
     if not live:
         return None
     t_min = min(t for t, _ in live)
-    near = sorted(i for t, i in live if t <= t_min + tol)
+    near = sorted(i for t, i in live if t <= t_min + TOL_EVENT)
     # group adjacent pair indices into runs: i, i+1 colliding and i+1, i+2 colliding
     runs = [[near[0]]]
     for i in near[1:]:
@@ -432,7 +430,6 @@ def burgers_oracle(
     t_end: float,
     delta: float = DELTA_DEFAULT,
     max_events: int = 10000,
-    tol_event: float = TOL_EVENT,
 ) -> BurgersTrajectory:
     """Independent exact front tracking for v_t + (v^2)_x = 0.
 
@@ -463,11 +460,11 @@ def burgers_oracle(
             b_l = fronts[i].birth_x - fronts[i].speed * fronts[i].birth_t
             b_r = fronts[i + 1].birth_x - fronts[i + 1].speed * fronts[i + 1].birth_t
             t = (b_r - b_l) / dv
-            if t < time - tol_event:
+            if t < time - TOL_EVENT:
                 continue
             t = max(t, time)
-            if best is None or t < best[0] - tol_event or (
-                abs(t - best[0]) <= tol_event and fronts[i].position(t) < best[1]
+            if best is None or t < best[0] - TOL_EVENT or (
+                abs(t - best[0]) <= TOL_EVENT and fronts[i].position(t) < best[1]
             ):
                 best = (t, fronts[i].position(t), i)
         if best is None or best[0] > t_end:
@@ -483,7 +480,7 @@ def burgers_oracle(
                 b_l = fronts[j].birth_x - fronts[j].speed * fronts[j].birth_t
                 b_r = fronts[j + 1].birth_x - fronts[j + 1].speed * fronts[j + 1].birth_t
                 t_next = (b_r - b_l) / dv
-            if t_next is not None and abs(t_next - t) <= tol_event:
+            if t_next is not None and abs(t_next - t) <= TOL_EVENT:
                 j += 1
             else:
                 break

@@ -392,17 +392,14 @@ class ContractionResult:
     deltas: tuple
 
 
-def contraction_solve_12(
-    sc: Interaction12Scenario,
-    tol: float = CONTRACTION_TOL,
-    max_iter: int = CONTRACTION_MAX_ITER,
-) -> ContractionResult:
+def contraction_solve_12(sc: Interaction12Scenario) -> ContractionResult:
     """Solve the eta > 0 outgoing strengths by the fixed-point map.
 
     Iterates T(X) = X0 - eta A^{-1} F(X) from the eta = 0 closed form X0,
     where F stacks the p1/p3 second differences over the states
-    U'_m = Ul + sigma' (1,0,v_l) and U''_m = Ur - tau' (1,0,v_r-2).  Reports
-    the largest successive-step ratio and the empirical ball constant
+    U'_m = Ul + sigma' (1,0,v_l) and U''_m = Ur - tau' (1,0,v_r-2), until a
+    step is at most CONTRACTION_TOL, for at most CONTRACTION_MAX_ITER steps.
+    Reports the largest successive-step ratio and the empirical ball constant
     max |X_n - X0| / (eta sigma s).
     """
     params = ModelParams(sc.eta)
@@ -433,14 +430,14 @@ def contraction_solve_12(
     deltas = []
     ratios = []
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, CONTRACTION_MAX_ITER + 1):
         x_next = apply_map(x)
         delta = float(np.linalg.norm(x_next - x))
         if deltas and deltas[-1] > 0.0:
             ratios.append(delta / deltas[-1])
         deltas.append(delta)
         x = x_next
-        if delta <= tol:
+        if delta <= CONTRACTION_TOL:
             break
         if len(ratios) >= 2 and min(ratios[-2:]) >= 1.0:
             raise ContractionError(
@@ -451,7 +448,7 @@ def contraction_solve_12(
             )
     else:
         raise ContractionError(
-            f"fixed-point iteration did not converge in {max_iter} steps",
+            f"fixed-point iteration did not converge in {CONTRACTION_MAX_ITER} steps",
             iterate=x,
             residual=deltas[-1] if deltas else None,
             trace=tuple(deltas),

@@ -39,8 +39,11 @@ CONTACT = "contact"
 class Wave:
     """One elementary wave of the fan.
 
-    `speed` is a float for shocks and contacts and an increasing pair
-    (lambda_left, lambda_right) for rarefactions.
+    `speed` is an increasing pair (lambda_left, lambda_right) of the family's
+    eigenvalue for rarefactions.  For shocks and contacts it is the float
+    (lambda_left + lambda_right) / 2, the exact Rankine-Hugoniot speed: the
+    family's eigenvalue is affine along its wave curve (see `wavecurves`).
+    For family 2 that is v_left + v_right in IEEE arithmetic.
     """
 
     family: int
@@ -95,29 +98,20 @@ def classify(fam: int, strength: float, params: ModelParams) -> str:
 
 def _make_wave(fam: int, strength: float, left, right, params: ModelParams) -> Wave:
     kind = classify(fam, strength, params)
-    if kind == RAREFACTION:
-        lam_l = float(eigenvalues(left, params)[fam - 1])
-        lam_r = float(eigenvalues(right, params)[fam - 1])
-        speed: float | tuple = (lam_l, lam_r)
-    else:
-        speed, _ = wc.rh_speed(left, right, params)
+    lam_l = float(eigenvalues(left, params)[fam - 1])
+    lam_r = float(eigenvalues(right, params)[fam - 1])
+    speed = (lam_l, lam_r) if kind == RAREFACTION else 0.5 * (lam_l + lam_r)
     return Wave(family=fam, kind=kind, strength=float(strength), left=left, right=right, speed=speed)
 
 
-def solve_riemann(
-    Ul,
-    Ur,
-    params: ModelParams,
-    tol: float = SOLVER_TOL,
-    max_iter: int = MAX_ITER,
-    tol_zero: float = TOL_ZERO,
-) -> RiemannFan:
+def solve_riemann(Ul, Ur, params: ModelParams, max_iter: int = MAX_ITER) -> RiemannFan:
     """Solve the Riemann problem between Ul and Ur.
 
     Secant iteration in s1 on the w-mismatch g(s1), started at s1 = 0 and
     s1 = -g(0)/2; a step is kept only while |g| decreases, for at most
     `max_iter` steps.  Raises ConvergenceError (carrying the best iterate
-    and its residual) if |g| stays above `tol`.
+    and its residual) if |g| stays above SOLVER_TOL (1 + |(u_r, w_r)|).
+    Waves of strength at most TOL_ZERO are left out of the fan.
     """
     Ul = as_state(Ul)
     Ur = as_state(Ur)
@@ -154,9 +148,9 @@ def solve_riemann(
             break
         prev, cur = cur, trial
     s1, s3, UA, UB, UC, g = cur
-    if abs(g) > tol * scale:
+    if abs(g) > SOLVER_TOL * scale:
         raise ConvergenceError(
-            f"Riemann solve residual {abs(g):.3e} above tolerance {tol:.1e}",
+            f"Riemann solve residual {abs(g):.3e} above tolerance {SOLVER_TOL:.1e}",
             iterate=(s1, s3),
             residual=abs(g),
         )
@@ -164,7 +158,7 @@ def solve_riemann(
     waves = []
     left = Ul
     for fam, s, right in ((1, s1, UA), (2, s2, UB), (3, s3, UC)):
-        if abs(s) <= tol_zero:
+        if abs(s) <= TOL_ZERO:
             continue
         waves.append(_make_wave(fam, s, left, right, params))
         left = right
@@ -236,7 +230,11 @@ class FanDiagnostics:
 
 
 def check_fan(fan: RiemannFan, params: ModelParams) -> FanDiagnostics:
-    """Recompute residuals, Lax margins and orderings; never raises."""
+    """Recompute residuals, Lax margins and orderings; never raises.
+
+    A shock's or contact's `rh_residual` is taken at the wave's own speed, the
+    one the tracker moves its front with.
+    """
     diags = []
     ok = True
     for wave in fan.waves:
@@ -256,13 +254,12 @@ def check_fan(fan: RiemannFan, params: ModelParams) -> FanDiagnostics:
             )
             ok = ok and increasing and kind_consistent
         else:
-            speed, residual = wc.rh_speed(wave.left, wave.right, params)
             lax = wc.lax_admissible(wave.family, wave.left, wave.right, wave.speed, params)
             diag = WaveDiagnostics(
                 family=wave.family,
                 kind=wave.kind,
                 strength=wave.strength,
-                rh_residual=residual,
+                rh_residual=wc.rh_residual(wave.left, wave.right, wave.speed, params),
                 lax=lax,
                 interval_increasing=None,
                 kind_consistent=kind_consistent,

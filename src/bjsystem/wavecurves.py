@@ -14,6 +14,13 @@ system.  The rarefaction branch integrates the middle eigenvector field as a
 adaptive Dormand-Prince 5(4) pair whose local error tolerance is RARE_TOL
 relative to 1 + max(|alpha|, |beta|).
 
+Every shock speed is explicit.  lambda_1 is affine in alpha along r_1,
+lambda_3 is affine in beta along r_3 and lambda_2 = 2v, so a jump along a
+wave curve moves at the mean of its family's eigenvalue on its two sides:
+-4 + 2 eta (alpha_b + alpha), 2 vb + s and 4 - 2 eta (beta_b + beta), for
+every eta.  `rh_residual` is the one place the Rankine-Hugoniot residual
+|F(right) - F(left) - speed (right - left)| is computed.
+
 Sign conventions: shocks sit at s < 0 for families 1 and 2 and at s > 0 for
 family 3 (reversed orientation of the third field).
 """
@@ -94,22 +101,11 @@ def hugoniot_matrix(vbar: float, s: float) -> np.ndarray:
     )
 
 
-def rh_speed(left, right, params: ModelParams):
-    """Least-squares Rankine-Hugoniot speed and residual for a jump.
-
-    gamma minimizes |F(right) - F(left) - gamma (right - left)| over all three
-    components; robust when one component of the jump vanishes.
-    """
-    left = as_state(left)
-    right = as_state(right)
-    dU = right - left
-    den = float(dU @ dU)
-    if den == 0.0:
-        return 0.0, 0.0
-    dF = flux_fn(right, params) - flux_fn(left, params)
-    gamma = float(dF @ dU) / den
-    residual = float(np.linalg.norm(dF - gamma * dU))
-    return gamma, residual
+def rh_residual(left, right, speed: float, params: ModelParams) -> float:
+    """Rankine-Hugoniot residual |F(right) - F(left) - speed (right - left)|."""
+    return float(np.linalg.norm(
+        flux_fn(right, params) - flux_fn(left, params) - speed * (right - left)
+    ))
 
 
 def hugoniot2_closed_form(base, s: float) -> CurvePoint:
@@ -125,13 +121,11 @@ def hugoniot2_closed_form(base, s: float) -> CurvePoint:
     uw = base[[0, 2]] + E @ base[[0, 2]]
     state = np.array([uw[0], base[1] + s, uw[1]])
     gamma = 2.0 * base[1] + s
-    p0 = ModelParams(0.0)
-    residual = float(np.linalg.norm(flux_fn(state, p0) - flux_fn(base, p0) - gamma * (state - base)))
     return CurvePoint(
         state=state,
         speed=gamma,
         param=s,
-        residual=residual,
+        residual=rh_residual(base, state, gamma, ModelParams(0.0)),
         warnings=_curve_warnings(base, s, state),
     )
 
@@ -186,7 +180,7 @@ def _hugoniot2_newton(base, s, params, tol, max_iter):
         )
     return CurvePoint(
         state=state,
-        speed=float(z[2]),
+        speed=2.0 * base[1] + s,
         param=s,
         residual=r_norm,
         warnings=_curve_warnings(base, s, state),
@@ -206,14 +200,13 @@ def hugoniot(fam: int, base, s: float, params: ModelParams,
         return _hugoniot2_newton(base, s, params, tol, max_iter)
     direction = r1_direction(base[1]) if fam == 1 else r3_direction(base[1])
     state = base + s * direction
-    speed, residual = rh_speed(base, state, params)
-    if s == 0.0:
-        speed = float(eigenvalues(base, params)[fam - 1])
+    # lambda_fam is affine along its straight line: the shock speed is the mean
+    speed = 0.5 * float(eigenvalues(base, params)[fam - 1] + eigenvalues(state, params)[fam - 1])
     return CurvePoint(
         state=state,
         speed=speed,
         param=s,
-        residual=residual,
+        residual=rh_residual(base, state, speed, params),
         warnings=_curve_warnings(base, 0.0, state),
     )
 
@@ -340,11 +333,10 @@ class LaxCheck:
         return self.admissible
 
 
-def lax_admissible(fam: int, left, right, speed: float, params: ModelParams,
-                   tol: float = TOL_LAX) -> LaxCheck:
+def lax_admissible(fam: int, left, right, speed: float, params: ModelParams) -> LaxCheck:
     """Lax admissibility of a family-`fam` discontinuity of the given speed.
 
-    Requires lambda_fam(right) <= speed <= lambda_fam(left) up to `tol`, plus
+    Requires lambda_fam(right) <= speed <= lambda_fam(left) up to TOL_LAX, plus
     the crossing conditions with the neighboring families.  Margins are
     returned signed; a contact discontinuity passes with zero margins.
     """
@@ -363,7 +355,7 @@ def lax_admissible(fam: int, left, right, speed: float, params: ModelParams,
         crossing_right = float(lam_right[fam] - speed)
         margins.append(crossing_right)
     return LaxCheck(
-        admissible=bool(min(margins) >= -tol),
+        admissible=bool(min(margins) >= -TOL_LAX),
         left_margin=left_margin,
         right_margin=right_margin,
         crossing_left_margin=crossing_left,

@@ -8,6 +8,7 @@ bisection on the family speed along the rarefaction curve.  The family-2
 rarefaction is integrated by a fixed-step RK4 on state arrays with
 `r2_direction`, and has a closed form at eta = 0.
 The tracker's observables are recomputed by a plain loop over the fronts.
+Shock speeds are fitted to the Rankine-Hugoniot condition by least squares.
 """
 
 import numpy as np
@@ -100,6 +101,25 @@ def fd_nonlinearity(U, params, step=1e-5):
         r = r / r[:, pivot, None]
         out[:, i] = np.einsum("nk,nk->n", grad[:, i, :], r)
     return out
+
+
+def rh_speed(left, right, params):
+    """Least-squares Rankine-Hugoniot speed and residual for a jump.
+
+    gamma minimizes |F(right) - F(left) - gamma (right - left)| over all three
+    components; robust when one component of the jump vanishes.  It loses
+    about eps |F| / |right - left| to cancellation on weak jumps.
+    """
+    left = fx.as_state(left)
+    right = fx.as_state(right)
+    dU = right - left
+    den = float(dU @ dU)
+    if den == 0.0:
+        return 0.0, 0.0
+    dF = fx.flux(right, params) - fx.flux(left, params)
+    gamma = float(dF @ dU) / den
+    residual = float(np.linalg.norm(dF - gamma * dU))
+    return gamma, residual
 
 
 def rk4_rarefaction2(base, s, params, step=1e-3):

@@ -6,6 +6,8 @@ of `oracles` (roots of the characteristic cubic, SVD null vectors, finite
 differences of the roots) for the closed-form eigenstructure.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -295,11 +297,12 @@ def test_non_finite_states_are_rejected(bad):
             kernel(bad, params)
 
 
-def test_r2_direction_at_a_family_crossing_divides_like_numpy():
+def test_r2_direction_raises_at_a_family_crossing():
     # at v = 2 and eta = 0 lambda_2 = lambda_3: the (u, w) solve is singular
-    with pytest.warns(RuntimeWarning):
-        r2 = fx.r2_direction(np.array([0.1, 2.0, 0.0]), ModelParams(0.0))
-    assert r2[1] == 1.0 and not np.all(np.isfinite(r2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"U=\[0\.1, 2\.0, 0\.0\], eta=0\.0"):
+            fx.r2_direction(np.array([0.1, 2.0, 0.0]), ModelParams(0.0))
 
 
 @pytest.mark.parametrize("check", [fx.check_strict_hyperbolicity, fx.check_genuine_nonlinearity])

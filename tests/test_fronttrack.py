@@ -319,6 +319,22 @@ def test_observables_equal_the_loop_on_a_shock_run():
     _assert_observables_match_loop(st, 200)
 
 
+def test_2_shock_fronts_move_at_v_left_plus_v_right():
+    # the scalar oracle's shock speed, bit for bit, on a long run of weak shocks
+    params = ModelParams(1e-4)
+    rng = np.random.default_rng(810)
+    families = rng.permutation(np.resize([1, 2, 3], 42))
+    strengths = 10.0 ** rng.uniform(-3.0, -2.0, 42)
+    layout = [(int(f), (1.0 if f == 3 else -1.0) * s) for f, s in zip(families, strengths)]
+    U0 = np.array([0.25, 0.1, -0.25]) + rng.uniform(-0.05, 0.05, 3)
+    st = ft.init_from_piecewise(_seeded_jumps(rng, U0, layout, params), U0, params)
+    for _ in range(400):
+        ft.resolve_collision(st, ft.next_collision(st))
+    shocks = [f for f in st.dead_fronts + st.fronts if f.family == 2 and f.kind == "shock"]
+    assert len(shocks) >= 100
+    assert all(f.speed == f.left[1] + f.right[1] for f in shocks)
+
+
 def test_observables_equal_the_loop_on_a_rarefaction_run():
     params = ModelParams(1e-3)
     rng = np.random.default_rng(809)

@@ -12,6 +12,7 @@ from bjsystem.riemann import (
     RAREFACTION,
     SHOCK,
     Wave,
+    _make_wave,
     check_fan,
     evaluate_fan,
     solve_riemann,
@@ -297,8 +298,33 @@ def test_seeded_random_pairs_solve_and_pass_diagnostics(eta):
     pairs = oracles.ball_sample(rng, 20, 0.9).reshape(10, 2, 3)
     for Ul, Ur in pairs:
         fan = solve_riemann(Ul, Ur, params)
-        assert check_fan(fan, params).ok
+        diagnostics = check_fan(fan, params)
+        assert diagnostics.ok
         assert fan.residual <= 1e-12
+        assert all(d.rh_residual <= 1e-13 for d in diagnostics.waves if d.rh_residual is not None)
+        for wave in fan.waves:
+            if wave.kind != RAREFACTION and abs(wave.strength) >= 1e-3:
+                oracle_speed, _ = oracles.rh_speed(wave.left, wave.right, params)
+                assert abs(wave.speed - oracle_speed) <= 1e-12
+
+
+@pytest.mark.parametrize("eta", [0.0, 1e-4, 0.05, 0.2])
+def test_weak_wave_speeds_are_the_exact_eigenvalue_means(eta):
+    # a least-squares Rankine-Hugoniot speed loses about eps |F| / |s|
+    params = ModelParams(eta)
+    rng = np.random.default_rng([2028, int(1e4 * eta)])
+    for base in oracles.ball_sample(rng, 5, 0.8):
+        for fam, sign in ((1, -1.0), (2, -1.0), (3, 1.0)):
+            for size in (1e-3, 1e-6, 1e-9, 1e-12):
+                right = wc.hugoniot(fam, base, sign * size, params).state
+                wave = _make_wave(fam, sign * size, base, right, params)
+                (a_l, b_l), (a_r, b_r) = (fx._line_coords(*U.tolist()) for U in (base, right))
+                exact = {
+                    1: -4.0 + 2.0 * eta * (a_l + a_r),
+                    2: base[1] + right[1],
+                    3: 4.0 - 2.0 * eta * (b_l + b_r),
+                }[fam]
+                assert abs(wave.speed - exact) <= 1e-15 * (1.0 + abs(exact))
 
 
 @pytest.mark.parametrize("eta", list(FUZZ_SEEDS))

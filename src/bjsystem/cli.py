@@ -492,6 +492,20 @@ def cmd_fronttrack(args, scenario):
     else:
         print("\n".join(trajectory_lines))
 
+    if args.out:
+        fields = [
+            "time", "n_events", "n_fronts", "tv_u", "tv_v", "tv_w", "max_state_norm",
+            "balance_u", "balance_v", "balance_w",
+        ]
+        observable_rows = [
+            dict(zip(fields, (
+                rec.time, rec.n_events, rec.n_fronts, *map(float, rec.total_variation),
+                rec.max_state_norm, *map(float, rec.balance),
+            )))
+            for rec in series
+        ]
+        write_records(observable_rows, fields, f"{args.out}_observables.csv", "csv")
+
     last = series[-1]
     print(
         f"fronttrack: {len(st.event_log)} events, {last.n_fronts} fronts at t={st.time:g}"
@@ -541,7 +555,9 @@ def build_parser():
     pf.add_argument("--delta", type=float, default=None, help="rarefaction discretization")
     pf.add_argument("--t-end", dest="t_end", type=float, default=None)
     pf.add_argument("--max-events", dest="max_events", type=int, default=None)
-    pf.add_argument("--out", help="output prefix for _events.csv and _trajectories.tsv")
+    pf.add_argument(
+        "--out", help="output prefix for _events.csv, _trajectories.tsv and _observables.csv"
+    )
     return parser
 
 

@@ -1,11 +1,19 @@
 """Event-driven wave front tracking for piecewise-constant data.
 
 Fronts are straight lines in the (x, t) plane carrying one elementary wave
-each; collisions are resolved with the exact Riemann solver.  Rarefactions
-are discretized into pieces of strength at most delta, each moving at the
-characteristic speed of its left edge.  Front trajectories are stored as
-(birth position, birth time, speed) so intersection times come from the
-exact linear motion rather than mutated positions.
+each.  Rarefactions are discretized into pieces of strength at most delta,
+each moving at the characteristic speed of its left edge.  Front
+trajectories are stored as (birth position, birth time, speed) so
+intersection times come from the exact linear motion rather than mutated
+positions.
+
+A collision is resolved with the exact Riemann solver, except where a
+3-front meets a 1-front and nothing else: at a fixed v both outer wave
+curves are straight lines, r1 = (1, 0, v) moving only alpha and
+r3 = (1, 0, v - 2) moving only beta in the line coordinates of `flux`, so
+the two waves pass through each other with unchanged strengths.  Since
+lambda_1 depends only on alpha and lambda_3 only on beta, their speeds are
+unchanged in exact arithmetic as well.
 
 A standalone scalar tracker for the decoupled v-component (flux v^2) serves
 as an independent oracle: 2-shock speeds are v_left + v_right for every eta,
@@ -21,7 +29,7 @@ from .errors import ConvergenceError, DomainError
 from . import wavecurves as wc
 from .flux import ModelParams, as_state, eigenvalues
 from .flux import flux as flux_fn
-from .riemann import RAREFACTION, solve_riemann
+from .riemann import RAREFACTION, _make_wave, solve_riemann
 
 DELTA_DEFAULT = 1e-3
 TOL_EVENT = 1e-12
@@ -44,7 +52,12 @@ class Front:
     death_t: float | None = None
 
     def position(self, t: float) -> float:
-        return self.birth_x + self.speed * (t - self.birth_t)
+        return _position(self.birth_x, self.speed, self.birth_t, t)
+
+
+def _position(birth_x, speed, birth_t, t):
+    """Position at time t on a front's line, for one front or arrays of fronts."""
+    return birth_x + speed * (t - birth_t)
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,22 +115,33 @@ class ObservableRecord:
     balance: tuple
 
 
+def _front(st: TrackerState, wave, x: float, t: float) -> Front:
+    """One front born at (x, t) carrying the whole wave.
+
+    A rarefaction moves at the family speed of its left edge.
+    """
+    return Front(
+        uid=st.new_uid(),
+        family=wave.family,
+        kind=wave.kind,
+        strength=wave.strength,
+        left=wave.left,
+        right=wave.right,
+        speed=float(wave.min_speed),
+        birth_x=x,
+        birth_t=t,
+    )
+
+
 def _emit_fronts(st: TrackerState, wave, x: float, t: float) -> list:
-    """Turn one fan wave into fronts born at (x, t)."""
+    """Turn one fan wave into fronts born at (x, t).
+
+    A rarefaction is split into ceil(|s| / delta) pieces of equal strength.
+    Each piece is integrated from the right state of the piece before it, and
+    the last piece ends on `wave.right` exactly.
+    """
     if wave.kind != RAREFACTION:
-        return [
-            Front(
-                uid=st.new_uid(),
-                family=wave.family,
-                kind=wave.kind,
-                strength=wave.strength,
-                left=wave.left,
-                right=wave.right,
-                speed=float(wave.speed),
-                birth_x=x,
-                birth_t=t,
-            )
-        ]
+        return [_front(st, wave, x, t)]
     n_pieces = max(1, int(np.ceil(abs(wave.strength) / st.params.delta)))
     piece = wave.strength / n_pieces
     model = st.params.model
@@ -127,7 +151,7 @@ def _emit_fronts(st: TrackerState, wave, x: float, t: float) -> list:
         right = (
             wave.right
             if k == n_pieces
-            else wc.rarefaction(wave.family, wave.left, k * piece, model).state
+            else wc.rarefaction(wave.family, left, piece, model).state
         )
         speed = float(eigenvalues(left, model)[wave.family - 1])
         fronts.append(
@@ -158,7 +182,9 @@ def init_from_piecewise(
     Every jump is resolved with the exact Riemann solver at t = 0.  States
     between fronts of one fan are the solver's composed states, and each
     fan's outermost state is pinned back to the given datum, so the front
-    chain is exactly consistent with the input data.
+    chain is exactly consistent with the input data.  A jump whose fan is
+    empty (every wave at most TOL_ZERO) emits nothing, and the next fan
+    starts from the last emitted state, so it absorbs the dropped jump.
     """
     U_leftmost = as_state(U_leftmost)
     xs = [float(x) for x, _ in jumps]
@@ -188,8 +214,8 @@ def init_from_piecewise(
             # pin the outermost state to the given datum so the front chain
             # is exact; the solver residual (~1e-16) moves into the last jump
             new_fronts[-1].right = U
+            current = U
         st.fronts.extend(new_fronts)
-        current = U
     return st
 
 
@@ -201,32 +227,34 @@ class CollisionCandidate:
     indices: tuple
 
 
-def _pair_collision_time(left: Front, right: Front, now: float):
-    dv = left.speed - right.speed
-    if dv <= SPEED_TIE_TOL:
-        return None
-    b_left = left.birth_x - left.speed * left.birth_t
-    b_right = right.birth_x - right.speed * right.birth_t
-    t = (b_right - b_left) / dv
-    if t < now - TOL_EVENT:
-        return None
-    return max(t, now)
-
-
 def next_collision(st: TrackerState) -> CollisionCandidate | None:
     """Earliest upcoming collision, with hits within TOL_EVENT at one point merged.
 
-    Ties at distinct positions resolve left to right.
+    The meeting times of all neighbour pairs come from one array pass over
+    the speeds and the intercepts b = birth_x - speed * birth_t: a pair meets
+    at (b_right - b_left) / (speed_left - speed_right) if the left front is
+    faster by more than SPEED_TIE_TOL, a meeting more than TOL_EVENT in the
+    past is dropped, and one less than TOL_EVENT in the past happens now.
+    Ties at distinct positions resolve left to right.  A candidate of just a
+    3-front and a 1-front is a crossing that `resolve_collision` passes
+    through without a Riemann solve; a third front meeting at the same point
+    makes it a general collision.
     """
-    times = []
-    for i in range(len(st.fronts) - 1):
-        t = _pair_collision_time(st.fronts[i], st.fronts[i + 1], st.time)
-        times.append(t)
-    live = [(t, i) for i, t in enumerate(times) if t is not None]
-    if not live:
+    fronts = st.fronts
+    if len(fronts) < 2:
         return None
-    t_min = min(t for t, _ in live)
-    near = sorted(i for t, i in live if t <= t_min + TOL_EVENT)
+    speed = np.array([f.speed for f in fronts])
+    intercept = np.array([f.birth_x - f.speed * f.birth_t for f in fronts])
+    dv = speed[:-1] - speed[1:]
+    times = np.divide(
+        intercept[1:] - intercept[:-1], dv, out=np.full(len(dv), np.inf), where=dv > SPEED_TIE_TOL
+    )
+    times[times < st.time - TOL_EVENT] = np.inf
+    t_min = float(times.min())
+    if t_min == np.inf:
+        return None
+    t_min = max(t_min, st.time)
+    near = np.flatnonzero(times <= t_min + TOL_EVENT).tolist()
     # group adjacent pair indices into runs: i, i+1 colliding and i+1, i+2 colliding
     runs = [[near[0]]]
     for i in near[1:]:
@@ -237,8 +265,7 @@ def next_collision(st: TrackerState) -> CollisionCandidate | None:
     # leftmost run by collision position
     best = None
     for run in runs:
-        i0 = run[0]
-        x = st.fronts[i0].position(t_min)
+        x = fronts[run[0]].position(t_min)
         if best is None or x < best[0]:
             best = (x, run)
     x, run = best
@@ -246,7 +273,7 @@ def next_collision(st: TrackerState) -> CollisionCandidate | None:
     return CollisionCandidate(
         time=t_min,
         position=x,
-        front_ids=tuple(st.fronts[i].uid for i in indices),
+        front_ids=tuple(fronts[i].uid for i in indices),
         indices=indices,
     )
 
@@ -262,18 +289,45 @@ def _classify_event(families) -> str:
     return "other"
 
 
+def _pass_through(st: TrackerState, f3: Front, f1: Front, x: float, t: float) -> list:
+    """The 1-front and the 3-front leaving the crossing of f3 (left) and f1 (right).
+
+    With U_L -> U_M -> U_R the incoming states, the new middle state is
+    U_M' = U_L + (U_R - U_M), and each outgoing front keeps its incoming
+    strength.  Kinds and speeds come from `riemann._make_wave`.
+    """
+    U_left, U_right = f3.left, f1.right
+    U_mid = U_left + (U_right - f1.left)
+    model = st.params.model
+    return [
+        _front(st, _make_wave(1, f1.strength, U_left, U_mid, model), x, t),
+        _front(st, _make_wave(3, f3.strength, U_mid, U_right, model), x, t),
+    ]
+
+
 def resolve_collision(st: TrackerState, candidate: CollisionCandidate) -> TrackerState:
-    """Replace the colliding fronts with the fan of the outer states."""
+    """Replace the colliding fronts with the fan of the outer states.
+
+    Exactly two incoming fronts, of family 3 then family 1, pass through
+    each other (see the module docstring): the outgoing 1-front and 3-front
+    keep the incoming strengths, one front each, and the middle state becomes
+    U_L + (U_R - U_M).  Every other collision is resolved by `solve_riemann`.
+    In both cases the left state is kept and the right neighbour's left state
+    stays exactly shared across the event.
+    """
     incoming = [st.fronts[i] for i in candidate.indices]
-    U_left = incoming[0].left
-    U_right = incoming[-1].right
-    fan = solve_riemann(U_left, U_right, st.params.model)
-    new_fronts = []
-    for wave in fan.waves:
-        new_fronts.extend(_emit_fronts(st, wave, candidate.position, candidate.time))
-    if new_fronts:
-        # keep the right neighbor's left state exactly shared across the event
-        new_fronts[-1].right = U_right
+    x, t = candidate.position, candidate.time
+    if [f.family for f in incoming] == [3, 1]:
+        new_fronts = _pass_through(st, *incoming, x, t)
+    else:
+        U_right = incoming[-1].right
+        fan = solve_riemann(incoming[0].left, U_right, st.params.model)
+        new_fronts = []
+        for wave in fan.waves:
+            new_fronts.extend(_emit_fronts(st, wave, x, t))
+        if new_fronts:
+            # keep the right neighbor's left state exactly shared across the event
+            new_fronts[-1].right = U_right
     lo, hi = candidate.indices[0], candidate.indices[-1]
     for f in incoming:
         f.death_t = candidate.time
@@ -296,6 +350,11 @@ def resolve_collision(st: TrackerState, candidate: CollisionCandidate) -> Tracke
     return st
 
 
+def _stacked(states: list) -> np.ndarray:
+    """The (3,) states as the rows of an (n, 3) array, copied once."""
+    return np.concatenate(states).reshape(-1, 3) if states else np.empty((0, 3))
+
+
 def observables(st: TrackerState) -> ObservableRecord:
     """Front count, total variation, max |U| and conserved integrals at st.time.
 
@@ -311,7 +370,7 @@ def observables(st: TrackerState) -> ObservableRecord:
     plain compact support is unattainable and the flux correction is what the
     conservation certification checks.)
 
-    The front states and positions are stacked once and every sum is an
+    The front states and positions are gathered once and every sum is an
     axis-0 reduction, which adds the rows in order from +0.0 as a loop over
     the fronts would.  |U| is computed per state by `np.linalg.norm`, whose
     dot product may round differently from a vectorized sum of squares, so
@@ -320,9 +379,14 @@ def observables(st: TrackerState) -> ObservableRecord:
     """
     U_bg = st.left_boundary_state
     fronts = st.fronts
-    right = np.array([f.right for f in fronts]).reshape(-1, 3)
-    left = np.array([f.left for f in fronts]).reshape(-1, 3)
-    xs = np.array(st.positions())
+    right = _stacked([f.right for f in fronts])
+    left = _stacked([f.left for f in fronts])
+    xs = _position(
+        np.array([f.birth_x for f in fronts]),
+        np.array([f.speed for f in fronts]),
+        np.array([f.birth_t for f in fronts]),
+        st.time,
+    )
     tv = np.abs(right - left).sum(axis=0)
     integrals = (np.diff(xs)[:, None] * (right[:-1] - U_bg)).sum(axis=0)
     max_norm = float(np.linalg.norm(U_bg))

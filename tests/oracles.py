@@ -7,7 +7,8 @@ Jacobian, SVD null vectors, central finite differences of the roots, and
 bisection on the family speed along the rarefaction curve.  The family-2
 rarefaction is integrated by a fixed-step RK4 on state arrays with
 `r2_direction`, and has a closed form at eta = 0.
-The tracker's observables are recomputed by a plain loop over the fronts.
+The tracker's observables are recomputed by a plain loop over the fronts, and
+its next collision by one Python call per neighbour pair.
 Shock speeds are fitted to the Rankine-Hugoniot condition by least squares.
 """
 
@@ -228,4 +229,51 @@ def observables_loop(st):
         max_state_norm=max_norm,
         integrals=tuple(integrals),
         balance=tuple(balance),
+    )
+
+
+def _pair_collision_time(left, right, now):
+    """Meeting time of two neighbouring fronts, clamped to now; None if they never meet."""
+    dv = left.speed - right.speed
+    if dv <= ft.SPEED_TIE_TOL:
+        return None
+    b_left = left.birth_x - left.speed * left.birth_t
+    b_right = right.birth_x - right.speed * right.birth_t
+    t = (b_right - b_left) / dv
+    if t < now - ft.TOL_EVENT:
+        return None
+    return max(t, now)
+
+
+def next_collision_loop(st):
+    """`fronttrack.next_collision` as a loop over the neighbour pairs."""
+    live = []
+    for i in range(len(st.fronts) - 1):
+        t = _pair_collision_time(st.fronts[i], st.fronts[i + 1], st.time)
+        if t is not None:
+            live.append((t, i))
+    if not live:
+        return None
+    t_min = min(t for t, _ in live)
+    near = sorted(i for t, i in live if t <= t_min + ft.TOL_EVENT)
+    # group adjacent pair indices into runs: i, i+1 colliding and i+1, i+2 colliding
+    runs = [[near[0]]]
+    for i in near[1:]:
+        if i == runs[-1][-1] + 1:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    # leftmost run by collision position
+    best = None
+    for run in runs:
+        x = st.fronts[run[0]].position(t_min)
+        if best is None or x < best[0]:
+            best = (x, run)
+    x, run = best
+    indices = tuple(range(run[0], run[-1] + 2))
+    return ft.CollisionCandidate(
+        time=t_min,
+        position=x,
+        front_ids=tuple(st.fronts[i].uid for i in indices),
+        indices=indices,
     )

@@ -175,6 +175,16 @@ def test_fronttrack_scenario_run(tmp_path, capsys):
     lines = (tmp_path / "run_trajectories.tsv").read_text().strip().splitlines()
     assert lines[0].split("\t") == ["front_id", "family", "t0", "x0", "t1", "x1"]
     assert len(lines) == 1 + 5  # two dead incoming fronts + three outgoing
+    rows = list(csv.DictReader((tmp_path / "run_observables.csv").open()))
+    assert list(rows[0]) == [
+        "time", "n_events", "n_fronts", "tv_u", "tv_v", "tv_w", "max_state_norm",
+        "balance_u", "balance_v", "balance_w",
+    ]
+    assert len(rows) == 1 + len(events)
+    assert [int(r["n_events"]) for r in rows] == [0, 1]
+    assert [int(r["n_fronts"]) for r in rows] == [2, 3]
+    balance = np.array([[float(r[f"balance_{c}"]) for c in "uvw"] for r in rows])
+    assert np.max(np.abs(balance - balance[0])) <= 1e-10
 
 
 def test_fronttrack_constant_data(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bjsystem.fronttrack as ft
+import bjsystem.riemann as rm
 import bjsystem.wavecurves as wc
 from bjsystem.errors import DomainError
 from bjsystem.flux import ModelParams
@@ -66,6 +67,50 @@ def test_init_splits_rarefaction():
     assert all(abs(f.strength - 0.01) <= 1e-15 for f in st.fronts)
 
 
+def test_init_empty_fan_keeps_the_chain_exact():
+    # the middle jump is 3e-14 in u: both of its waves fall below TOL_ZERO, so
+    # it emits no front, and the 1-front after it must start where the 2-shock ends
+    params = ModelParams(0.05)
+    U0 = np.array([0.2, 0.1, -0.2])
+    U1 = wc.wave_fan_curve(2, U0, -0.05, params).state
+    U2 = U1 + np.array([3e-14, 0.0, 0.0])
+    U3 = wc.wave_fan_curve(1, U2, -0.02, params).state
+    st = ft.init_from_piecewise([(-0.5, U1), (0.0, U2), (0.5, U3)], U0, params)
+    assert [f.family for f in st.fronts] == [2, 1]
+    _assert_chain_exact(st)
+    assert st.fronts[-1].right is U3
+
+
+def test_emit_fronts_integrates_each_piece_from_the_previous_one(monkeypatch):
+    params = ModelParams(0.05)
+    base = np.array([0.1, -0.05, 0.1])
+    right = wc.rarefaction(2, base, 0.1, params).state
+    wave = rm._make_wave(2, 0.1, base, right, params)
+    st = ft.TrackerState(
+        params=ft.TrackerParams(model=params, delta=1e-3),
+        time=0.0,
+        fronts=[],
+        left_boundary_state=base,
+    )
+    calls = []
+    rhs = wc._r2_line_at
+
+    def counting_rhs(*args):
+        calls.append(args)
+        return rhs(*args)
+
+    monkeypatch.setattr(wc, "_r2_line_at", counting_rhs)
+    fronts = ft._emit_fronts(st, wave, 0.0, 0.0)
+    monkeypatch.undo()
+    assert len(fronts) == 100
+    assert len(calls) <= 7 * len(fronts)
+    assert fronts[0].left is base and fronts[-1].right is right
+    st.fronts = fronts
+    _assert_chain_exact(st)
+    for k, f in enumerate(fronts[:-1], start=1):
+        assert np.max(np.abs(f.right - wc.rarefaction(2, base, k * wave.strength / 100, params).state)) <= 1e-13
+
+
 def test_init_rejects_unsorted_positions():
     with pytest.raises(DomainError):
         ft.init_from_piecewise([(1.0, np.zeros(3)), (0.0, np.zeros(3))], np.zeros(3), P0)
@@ -97,6 +142,48 @@ def test_collision_merges_triple_point():
     assert abs(cand.time - 1.0) <= 1e-12 and abs(cand.position) <= 1e-12
 
 
+def _crossing_state(rng, params, kind):
+    """A 3-wave left of a 1-wave, both shocks or both rarefactions split into pieces."""
+    delta = 1e-3
+    if kind == "shock":
+        s3, s1 = 10.0 ** rng.uniform(-4.0, -2.0, 2) * [1.0, -1.0]
+    else:
+        s3, s1 = rng.uniform(1.2, 3.0, 2) * delta * [-1.0, 1.0]
+    U0 = oracles.ball_sample(rng, 1, 0.5)[0]
+    UM = wc.wave_fan_curve(3, U0, s3, params).state
+    UR = wc.wave_fan_curve(1, UM, s1, params).state
+    return ft.init_from_piecewise([(-0.1, UM), (0.1, UR)], U0, params, delta=delta)
+
+
+@pytest.mark.parametrize("kind", ["shock", "rarefaction"])
+@pytest.mark.parametrize("eta", [1e-4, 0.05, 0.2])
+def test_1_3_crossing_passes_through_as_the_solver_would(eta, kind):
+    params = ModelParams(eta)
+    rng = np.random.default_rng([811, int(eta * 1e4), kind == "shock"])
+    for _ in range(20):
+        st = _crossing_state(rng, params, kind)
+        cand = ft.next_collision(st)
+        f3, f1 = (st.fronts[i] for i in cand.indices)
+        assert (f3.family, f1.family) == (3, 1)
+        fan = rm.solve_riemann(f3.left, f1.right, params)
+        ft.resolve_collision(st, cand)
+        out = st.fronts[cand.indices[0] : cand.indices[0] + 2]
+        assert out[0].left is f3.left and out[1].right is f1.right
+        assert out[0].right is out[1].left
+        assert [(f.family, f.strength) for f in out] == [(1, f1.strength), (3, f3.strength)]
+        assert [(w.family, w.kind) for w in fan.waves] == [(f.family, f.kind) for f in out]
+        assert [f.kind for f in out] == [f1.kind, f3.kind]
+        U_mid = out[0].right
+        assert np.max(np.abs(U_mid - fan.waves[0].right)) <= 1e-15 * (1.0 + np.linalg.norm(U_mid))
+        for w, f in zip(fan.waves, out):
+            assert abs(w.strength - f.strength) <= 1e-15 * (1.0 + abs(f.strength))
+            assert abs(w.min_speed - f.speed) <= 1e-15 * (1.0 + abs(f.speed))
+        event = st.event_log[-1]
+        assert event.classification == "other"
+        assert event.outgoing == tuple((f.family, f.strength, f.kind, f.speed) for f in out)
+        _assert_chain_exact(st)
+
+
 def test_collision_ties_resolve_left_to_right():
     # two disjoint simultaneous collisions; the left pair must win
     st = kinematic_state(
@@ -110,6 +197,30 @@ def test_collision_ties_resolve_left_to_right():
     cand = ft.next_collision(st)
     assert cand.front_ids == (0, 1)
     assert abs(cand.position + 1.5) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "fronts, expected",
+    [
+        # met 5e-13 before now, within TOL_EVENT: the collision happens now
+        ([(0, 0.0, 1.0), (1, 2.0 * (1.0 - 5e-13), -1.0)], (1.0, (0, 1))),
+        # met 2e-12 before now, beyond TOL_EVENT: never
+        ([(0, 0.0, 1.0), (1, 2.0 * (1.0 - 2e-12), -1.0)], None),
+        # approaching slower than SPEED_TIE_TOL: never
+        ([(0, 0.0, 1.0), (1, 1.0, 1.0 - 5e-15)], None),
+        # the second pair meets 2e-13 after the first, at the same point: merged
+        ([(0, -1.0, 1.0), (1, 1.0, 0.0), (2, 3.0 + 2e-13, -1.0)], (2.0, (0, 1, 2))),
+    ],
+)
+def test_collision_time_tolerances(fronts, expected):
+    st = kinematic_state([make_plain_front(uid, x, speed) for uid, x, speed in fronts])
+    st.time = 1.0
+    cand = ft.next_collision(st)
+    assert repr(cand) == repr(oracles.next_collision_loop(st))
+    if expected is None:
+        assert cand is None
+    else:
+        assert (cand.time, cand.front_ids) == expected
 
 
 def test_resolve_22_collision_gives_three_shocks():
@@ -333,6 +444,78 @@ def test_2_shock_fronts_move_at_v_left_plus_v_right():
     shocks = [f for f in st.dead_fronts + st.fronts if f.family == 2 and f.kind == "shock"]
     assert len(shocks) >= 100
     assert all(f.speed == f.left[1] + f.right[1] for f in shocks)
+
+
+def _shock_run(seed=812, n_shocks=42):
+    """Weak shocks of all three families at eta = 1e-4, in a seeded order."""
+    params = ModelParams(1e-4)
+    rng = np.random.default_rng(seed)
+    families = rng.permutation(np.resize([1, 2, 3], n_shocks))
+    strengths = 10.0 ** rng.uniform(-3.0, -2.0, n_shocks)
+    layout = [(int(f), (1.0 if f == 3 else -1.0) * s) for f, s in zip(families, strengths)]
+    U0 = np.array([0.25, 0.1, -0.25]) + rng.uniform(-0.05, 0.05, 3)
+    jumps = _seeded_jumps(rng, U0, layout, params)
+    return jumps, U0, params
+
+
+def _rarefaction_run():
+    """One weak 3-wave followed by eleven 2-rarefactions of 2.5 delta."""
+    params = ModelParams(1e-3)
+    rng = np.random.default_rng(813)
+    layout = [(3, 1e-3)] + [(2, 5e-3)] * 11
+    U0 = np.array([0.2, 0.0, -0.2])
+    return ft.init_from_piecewise(_seeded_jumps(rng, U0, layout, params), U0, params, delta=2e-3)
+
+
+@pytest.mark.parametrize("run, n_events", [("shock", 1000), ("rarefaction", 300)])
+def test_next_collision_equals_the_loop_after_every_event(run, n_events):
+    if run == "shock":
+        jumps, U0, params = _shock_run()
+        st = ft.init_from_piecewise(jumps, U0, params)
+    else:
+        st = _rarefaction_run()
+    for _ in range(n_events):
+        cand = ft.next_collision(st)
+        assert cand is not None
+        assert repr(cand) == repr(oracles.next_collision_loop(st))
+        ft.resolve_collision(st, cand)
+    assert repr(ft.next_collision(st)) == repr(oracles.next_collision_loop(st))
+
+
+def _v_fronts(fronts, t):
+    """(position, v_left, v_right) of the v-jumps above 1e-10 alive just after t."""
+    return sorted(
+        (f.position(t), f.left[1], f.right[1])
+        for f in fronts
+        if f.birth_t <= t and (f.death_t is None or f.death_t > t)
+        and abs(f.right[1] - f.left[1]) > 1e-10
+    )
+
+
+def test_long_shock_run_conserves_and_matches_the_scalar_oracle():
+    jumps, U0, params = _shock_run()
+    st = ft.init_from_piecewise(jumps, U0, params)
+    st, series = ft.run(st, 1e4, max_events=1500)
+    assert len(st.event_log) == 1500 and len(series) == 1501
+    assert sum(e.classification == "other" for e in st.event_log) >= 1000
+    base = np.array(series[0].balance)
+    drift = max(float(np.max(np.abs(np.array(r.balance) - base))) for r in series)
+    assert drift <= 1e-10
+    _assert_chain_exact(st)
+
+    v_jumps = []
+    cur_v = U0[1]
+    for x, U in jumps:
+        if U[1] != cur_v:
+            v_jumps.append((x, U[1]))
+            cur_v = U[1]
+    oracle = ft.burgers_oracle(U0[1], v_jumps, st.time + 1.0)
+    fronts = st.dead_fronts + st.fronts
+    for rec in series[100::100] + series[-1:]:
+        system = _v_fronts(fronts, rec.time)
+        reference = [r for r in oracle.fronts_at(rec.time) if abs(r[2] - r[1]) > 1e-10]
+        assert len(system) == len(reference) > 0
+        assert max(abs(a - b) for ra, rb in zip(system, reference) for a, b in zip(ra, rb)) <= 1e-10
 
 
 def test_observables_equal_the_loop_on_a_rarefaction_run():

@@ -11,6 +11,7 @@ from .errors import (
     DomainError,
     HyperbolicityError,
     SingularCurveError,
+    TrackerEventError,
 )
 # note: the flux *function* is not re-exported here so that the `flux`
 # attribute of the package stays the submodule (import bjsystem.flux).
@@ -59,6 +60,7 @@ __all__ = [
     "DomainError",
     "HyperbolicityError",
     "SingularCurveError",
+    "TrackerEventError",
     "EigenSystem",
     "ModelParams",
     "check_genuine_nonlinearity",

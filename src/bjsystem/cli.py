@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, HyperbolicityError
+from .errors import ConvergenceError, DomainError, HyperbolicityError, TrackerEventError
 from . import interactions as ia
 from . import fronttrack as ft
 from . import wavecurves as wc
@@ -451,10 +451,26 @@ def cmd_fronttrack(args, scenario):
     try:
         st = ft.init_from_piecewise(jumps, u_left, params, delta=delta)
         st, series = ft.run(st, t_end, max_events=max_events)
+    except TrackerEventError as exc:
+        # leave the partial log: everything up to the last completed event
+        _write_tracker_outputs(args, st, exc.series)
+        print(f"fronttrack: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ConvergenceError, HyperbolicityError) as exc:
         print(f"fronttrack: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
+    _write_tracker_outputs(args, st, series)
+    last = series[-1]
+    print(
+        f"fronttrack: {len(st.event_log)} events, {last.n_fronts} fronts at t={st.time:g}"
+        + (" (truncated)" if st.truncated else "")
+    )
+    return EXIT_OK
+
+
+def _write_tracker_outputs(args, st, series):
+    """Events and trajectories (to --out files or stdout) and, with --out, the observables."""
     event_rows = [
         {
             "index": ev.index,
@@ -505,13 +521,6 @@ def cmd_fronttrack(args, scenario):
             for rec in series
         ]
         write_records(observable_rows, fields, f"{args.out}_observables.csv", "csv")
-
-    last = series[-1]
-    print(
-        f"fronttrack: {len(st.event_log)} events, {last.n_fronts} fronts at t={st.time:g}"
-        + (" (truncated)" if st.truncated else "")
-    )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -32,3 +32,18 @@ class ContractionError(ConvergenceError):
     def __init__(self, message, iterate=None, residual=None, trace=None):
         super().__init__(message, iterate=iterate, residual=residual)
         self.trace = trace
+
+
+class TrackerEventError(ArithmeticError):
+    """A front-tracker event could not be resolved.
+
+    Carries the event's time, position and incoming front ids, and the
+    observable series of the run up to the last completed event.
+    """
+
+    def __init__(self, message, time=None, position=None, incoming_ids=(), series=()):
+        super().__init__(message)
+        self.time = time
+        self.position = position
+        self.incoming_ids = incoming_ids
+        self.series = series

@@ -177,17 +177,6 @@ def jacobian(U, params: ModelParams) -> np.ndarray:
     return _pack(_jacobian_rows(*_entries(U, 1), params.eta), U.shape[:-1])
 
 
-def uw_block(v) -> np.ndarray:
-    """The 2x2 matrix acting on (u, w) at eta = 0:  4[[v-1, -1], [v(v-2), 1-v]]."""
-    v = np.asarray(v, dtype=float)
-    out = np.empty(v.shape + (2, 2), dtype=float)
-    out[..., 0, 0] = 4.0 * (v - 1.0)
-    out[..., 0, 1] = -4.0
-    out[..., 1, 0] = 4.0 * v * (v - 2.0)
-    out[..., 1, 1] = 4.0 * (1.0 - v)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closed-form eigenstructure
 

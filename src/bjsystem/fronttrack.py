@@ -15,6 +15,16 @@ the two waves pass through each other with unchanged strengths.  Since
 lambda_1 depends only on alpha and lambda_3 only on beta, their speeds are
 unchanged in exact arithmetic as well.
 
+Besides the list of live fronts, a `TrackerState` keeps their left and right
+states as the rows of two (n, 3) arrays, which `observables` reads instead of
+gathering every state at every event.  `_splice` is the one place that
+changes the front list: `init_from_piecewise` and `resolve_collision` replace
+fronts and rows through it, so the two stay in step.  A hand-built state, a
+new list assigned to `st.fronts` or a change of its length makes the next
+reader rebuild the rows.  A front edited in place elsewhere, or one put in
+the list in place of another, is picked up only after `st.fronts` is
+assigned a new list.
+
 A standalone scalar tracker for the decoupled v-component (flux v^2) serves
 as an independent oracle: 2-shock speeds are v_left + v_right for every eta,
 and the system's fronts carry that speed bit for bit, so the v-projection of
@@ -25,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, HyperbolicityError, TrackerEventError
 from . import wavecurves as wc
 from .flux import ModelParams, as_state, eigenvalues
 from .flux import flux as flux_fn
@@ -87,6 +97,10 @@ class TrackerState:
     dead_fronts: list = field(default_factory=list)
     truncated: bool = False
     _next_uid: int = 0
+    # rows of f.left and f.right for each front of `_rows_of`, kept by `_splice`
+    _left_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _right_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _rows_of: list | None = field(default=None, repr=False, compare=False)
 
     def new_uid(self) -> int:
         uid = self._next_uid
@@ -185,6 +199,8 @@ def init_from_piecewise(
     chain is exactly consistent with the input data.  A jump whose fan is
     empty (every wave at most TOL_ZERO) emits nothing, and the next fan
     starts from the last emitted state, so it absorbs the dropped jump.
+    The state rows of the fronts are built once, when the fronts are spliced
+    into the new state.
     """
     U_leftmost = as_state(U_leftmost)
     xs = [float(x) for x, _ in jumps]
@@ -196,6 +212,7 @@ def init_from_piecewise(
         fronts=[],
         left_boundary_state=U_leftmost,
     )
+    fronts = []
     current = U_leftmost
     for k, (x, U) in enumerate(jumps):
         U = as_state(U)
@@ -215,7 +232,8 @@ def init_from_piecewise(
             # is exact; the solver residual (~1e-16) moves into the last jump
             new_fronts[-1].right = U
             current = U
-        st.fronts.extend(new_fronts)
+        fronts.extend(new_fronts)
+    _splice(st, 0, 0, fronts)
     return st
 
 
@@ -313,7 +331,8 @@ def resolve_collision(st: TrackerState, candidate: CollisionCandidate) -> Tracke
     keep the incoming strengths, one front each, and the middle state becomes
     U_L + (U_R - U_M).  Every other collision is resolved by `solve_riemann`.
     In both cases the left state is kept and the right neighbour's left state
-    stays exactly shared across the event.
+    stays exactly shared across the event.  The outgoing fronts and their
+    state rows replace the incoming ones through `_splice`.
     """
     incoming = [st.fronts[i] for i in candidate.indices]
     x, t = candidate.position, candidate.time
@@ -328,11 +347,10 @@ def resolve_collision(st: TrackerState, candidate: CollisionCandidate) -> Tracke
         if new_fronts:
             # keep the right neighbor's left state exactly shared across the event
             new_fronts[-1].right = U_right
-    lo, hi = candidate.indices[0], candidate.indices[-1]
     for f in incoming:
         f.death_t = candidate.time
     st.dead_fronts.extend(incoming)
-    st.fronts[lo : hi + 1] = new_fronts
+    _splice(st, candidate.indices[0], candidate.indices[-1] + 1, new_fronts)
     st.time = candidate.time
     st.event_log.append(
         CollisionEvent(
@@ -355,6 +373,48 @@ def _stacked(states: list) -> np.ndarray:
     return np.concatenate(states).reshape(-1, 3) if states else np.empty((0, 3))
 
 
+def _rebuild_rows(st: TrackerState) -> None:
+    """Gather the state rows of every front of st.fronts afresh."""
+    st._left_rows = _stacked([f.left for f in st.fronts])
+    st._right_rows = _stacked([f.right for f in st.fronts])
+    st._rows_of = st.fronts
+
+
+def _front_rows(st: TrackerState) -> tuple:
+    """(left, right): the states of st.fronts as the rows of two (n, 3) arrays.
+
+    The rows are rebuilt if they were built for another list than st.fronts
+    or for another length, as after a hand-built state or an assignment to
+    st.fronts.
+    """
+    if st._rows_of is not st.fronts or len(st._left_rows) != len(st.fronts):
+        _rebuild_rows(st)
+    return st._left_rows, st._right_rows
+
+
+def _splice(st: TrackerState, start: int, stop: int, new_fronts: list) -> None:
+    """Replace st.fronts[start:stop] with new_fronts, and their state rows with theirs.
+
+    The only code that changes the front list.  Each row array stays
+    C-contiguous and bit-equal to a fresh gather of the fronts' states.
+    """
+    left, right = _front_rows(st)
+    if stop - start == len(new_fronts):
+        # as many fronts leave as arrive, as in a 1-3 crossing: the rows keep
+        # their places, and writing them costs a third of two concatenations
+        for k, f in enumerate(new_fronts, start):
+            left[k] = f.left
+            right[k] = f.right
+    else:
+        st._left_rows = np.concatenate(
+            (left[:start], _stacked([f.left for f in new_fronts]), left[stop:])
+        )
+        st._right_rows = np.concatenate(
+            (right[:start], _stacked([f.right for f in new_fronts]), right[stop:])
+        )
+    st.fronts[start:stop] = new_fronts
+
+
 def observables(st: TrackerState) -> ObservableRecord:
     """Front count, total variation, max |U| and conserved integrals at st.time.
 
@@ -370,17 +430,19 @@ def observables(st: TrackerState) -> ObservableRecord:
     plain compact support is unattainable and the flux correction is what the
     conservation certification checks.)
 
-    The front states and positions are gathered once and every sum is an
-    axis-0 reduction, which adds the rows in order from +0.0 as a loop over
-    the fronts would.  |U| is computed per state by `np.linalg.norm`, whose
-    dot product may round differently from a vectorized sum of squares, so
-    the vectorized norms only pick the rows within 1e-14 of the largest and
-    the maximum is taken over their exact norms.
+    The front states are read from the state rows that `init_from_piecewise`
+    and `resolve_collision` keep in step with st.fronts (see `_front_rows`
+    for when they are rebuilt), the positions are gathered once, and every
+    sum is an axis-0 reduction, which adds the rows in order from +0.0 as a
+    loop over the fronts would.  |U| is computed per state by
+    `np.linalg.norm`, whose dot product may round differently from a
+    vectorized sum of squares, so the vectorized norms only pick the rows
+    within 1e-14 of the largest and the maximum is taken over their exact
+    norms.
     """
     U_bg = st.left_boundary_state
     fronts = st.fronts
-    right = _stacked([f.right for f in fronts])
-    left = _stacked([f.left for f in fronts])
+    left, right = _front_rows(st)
     xs = _position(
         np.array([f.birth_x for f in fronts]),
         np.array([f.speed for f in fronts]),
@@ -415,7 +477,11 @@ def observables(st: TrackerState) -> ObservableRecord:
 def run(st: TrackerState, t_end: float, max_events: int = 10000):
     """Advance event by event until t_end, recording observables after each.
 
-    Exceeding max_events sets st.truncated instead of raising.
+    Exceeding max_events sets st.truncated instead of raising.  A
+    ConvergenceError or HyperbolicityError while resolving an event is raised
+    as a TrackerEventError that names the event and carries the series up to
+    the last completed event; st.fronts and st.event_log are left as that
+    event left them.
     """
     if t_end <= st.time:
         raise DomainError(f"t_end must exceed the current time {st.time}, got {t_end}")
@@ -428,7 +494,17 @@ def run(st: TrackerState, t_end: float, max_events: int = 10000):
         if candidate is None or candidate.time > t_end:
             st.time = t_end
             break
-        resolve_collision(st, candidate)
+        try:
+            resolve_collision(st, candidate)
+        except (ConvergenceError, HyperbolicityError) as exc:
+            raise TrackerEventError(
+                f"event {len(st.event_log)} at t={candidate.time!r}, x={candidate.position!r}, "
+                f"fronts {candidate.front_ids} failed: {exc}",
+                time=candidate.time,
+                position=candidate.position,
+                incoming_ids=candidate.front_ids,
+                series=series,
+            ) from exc
         series.append(observables(st))
     return st, series
 

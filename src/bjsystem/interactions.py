@@ -359,19 +359,12 @@ def closed_form_12_eta0(Ul, s: float, sigma: float) -> ClosedForm12:
     )
 
 
-def linear_system_matrix(v_l: float, s: float) -> np.ndarray:
-    """The 2x2 matrix A of the outgoing-strength system, gamma = 2 v_l + s."""
-    gamma = 2.0 * v_l + s
-    return np.array(
-        [
-            [gamma + 4.0, gamma - 4.0],
-            [v_l * (gamma + 4.0), (v_l + s - 2.0) * (gamma - 4.0)],
-        ]
-    )
-
-
 def linear_system_matrix_inv(v_l: float, s: float) -> np.ndarray:
-    """Closed-form inverse of A; det A = (16 - gamma^2)(2 - s) never vanishes here."""
+    """Closed-form inverse of the outgoing-strength matrix A, gamma = 2 v_l + s.
+
+    A = [[gamma + 4, gamma - 4], [v_l (gamma + 4), (v_l + s - 2)(gamma - 4)]];
+    det A = (16 - gamma^2)(2 - s) never vanishes here.
+    """
     gamma = 2.0 * v_l + s
     pref = 1.0 / ((16.0 - gamma * gamma) * (-s + 2.0))
     return pref * np.array(

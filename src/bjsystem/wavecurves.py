@@ -54,11 +54,10 @@ _SHOCK_SIDE = {1: -1.0, 2: -1.0, 3: 1.0}
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """A point on a wave curve: reached state, propagation speed, parameter."""
+    """A point on a wave curve: reached state and propagation speed."""
 
     state: np.ndarray
     speed: float
-    param: float
     residual: float = 0.0
     warnings: tuple = ()
 
@@ -116,7 +115,7 @@ def hugoniot2_closed_form(base, s: float) -> CurvePoint:
     """
     base = as_state(base)
     if s == 0.0:
-        return CurvePoint(state=base.copy(), speed=2.0 * base[1], param=0.0)
+        return CurvePoint(state=base.copy(), speed=2.0 * base[1])
     E = hugoniot_matrix(base[1], s)
     uw = base[[0, 2]] + E @ base[[0, 2]]
     state = np.array([uw[0], base[1] + s, uw[1]])
@@ -124,7 +123,6 @@ def hugoniot2_closed_form(base, s: float) -> CurvePoint:
     return CurvePoint(
         state=state,
         speed=gamma,
-        param=s,
         residual=rh_residual(base, state, gamma, ModelParams(0.0)),
         warnings=_curve_warnings(base, s, state),
     )
@@ -181,7 +179,6 @@ def _hugoniot2_newton(base, s, params, tol, max_iter):
     return CurvePoint(
         state=state,
         speed=2.0 * base[1] + s,
-        param=s,
         residual=r_norm,
         warnings=_curve_warnings(base, s, state),
     )
@@ -194,7 +191,7 @@ def hugoniot(fam: int, base, s: float, params: ModelParams,
     base = as_state(base)
     if fam == 2:
         if s == 0.0:
-            return CurvePoint(state=base.copy(), speed=2.0 * base[1], param=0.0)
+            return CurvePoint(state=base.copy(), speed=2.0 * base[1])
         if params.eta == 0.0:
             return hugoniot2_closed_form(base, s)
         return _hugoniot2_newton(base, s, params, tol, max_iter)
@@ -205,7 +202,6 @@ def hugoniot(fam: int, base, s: float, params: ModelParams,
     return CurvePoint(
         state=state,
         speed=speed,
-        param=s,
         residual=rh_residual(base, state, speed, params),
         warnings=_curve_warnings(base, 0.0, state),
     )
@@ -293,17 +289,17 @@ def rarefaction(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
     _check_family(fam)
     base = as_state(base)
     if s == 0.0:
-        return CurvePoint(state=base.copy(), speed=float(eigenvalues(base, params)[fam - 1]), param=0.0)
+        return CurvePoint(state=base.copy(), speed=float(eigenvalues(base, params)[fam - 1]))
     if fam in (1, 3):
         direction = r1_direction(base[1]) if fam == 1 else r3_direction(base[1])
         state = base + s * direction
         speed = float(eigenvalues(state, params)[fam - 1])
-        return CurvePoint(state=state, speed=speed, param=s,
+        return CurvePoint(state=state, speed=speed,
                           warnings=_curve_warnings(base, 0.0, state))
     u, w = _rarefaction2(base, float(s), params.eta)
     y = np.array([u, base[1] + s, w])
     speed = 2.0 * y[1]  # middle eigenvalue is exactly 2v
-    return CurvePoint(state=y, speed=speed, param=s,
+    return CurvePoint(state=y, speed=speed,
                       warnings=_curve_warnings(base, s, y))
 
 

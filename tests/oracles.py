@@ -10,6 +10,9 @@ rarefaction is integrated by a fixed-step RK4 on state arrays with
 The tracker's observables are recomputed by a plain loop over the fronts, and
 its next collision by one Python call per neighbour pair.
 Shock speeds are fitted to the Rankine-Hugoniot condition by least squares.
+The flux at eta = 0 is linear in (u, w) with a 2x2 matrix of v, and the 1-2
+outgoing-strength system has a matrix whose inverse the library writes in
+closed form.
 """
 
 import numpy as np
@@ -104,6 +107,28 @@ def fd_nonlinearity(U, params, step=1e-5):
     return out
 
 
+def uw_block(v):
+    """The 2x2 matrix acting on (u, w) at eta = 0:  4[[v-1, -1], [v(v-2), 1-v]]."""
+    v = np.asarray(v, dtype=float)
+    out = np.empty(v.shape + (2, 2), dtype=float)
+    out[..., 0, 0] = 4.0 * (v - 1.0)
+    out[..., 0, 1] = -4.0
+    out[..., 1, 0] = 4.0 * v * (v - 2.0)
+    out[..., 1, 1] = 4.0 * (1.0 - v)
+    return out
+
+
+def linear_system_matrix(v_l, s):
+    """The 2x2 matrix A of the 1-2 outgoing-strength system, gamma = 2 v_l + s."""
+    gamma = 2.0 * v_l + s
+    return np.array(
+        [
+            [gamma + 4.0, gamma - 4.0],
+            [v_l * (gamma + 4.0), (v_l + s - 2.0) * (gamma - 4.0)],
+        ]
+    )
+
+
 def rh_speed(left, right, params):
     """Least-squares Rankine-Hugoniot speed and residual for a jump.
 
@@ -141,8 +166,7 @@ def rk4_rarefaction2(base, s, params, step=1e-3):
         k4 = fx.r2_direction(y + h * k3, params)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     y[1] = base[1] + s
-    return wc.CurvePoint(state=y, speed=2.0 * y[1], param=s,
-                         warnings=wc._curve_warnings(base, s, y))
+    return wc.CurvePoint(state=y, speed=2.0 * y[1], warnings=wc._curve_warnings(base, s, y))
 
 
 def closed_form_rarefaction2(base, s):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 
 import bjsystem.cli as cli
+import bjsystem.fronttrack as ft
 import bjsystem.wavecurves as wc
 from bjsystem.errors import ConvergenceError
 from bjsystem.flux import ModelParams
@@ -195,7 +196,8 @@ def test_fronttrack_constant_data(tmp_path, capsys):
     assert "0 events" in capsys.readouterr().out
 
 
-def test_fronttrack_truncation(tmp_path, capsys):
+def _three_2_shocks():
+    """Left state and jumps of three weak 2-shocks that meet in turn at eta = 1e-4."""
     params = ModelParams(1e-4)
     U0 = np.array([0.25, 0.006, -0.25])
     cur = U0
@@ -203,11 +205,44 @@ def test_fronttrack_truncation(tmp_path, capsys):
     for x, s in zip([-0.3, -0.1, 0.1], [-2e-3, -2.4e-3, -2.8e-3]):
         cur = wc.wave_fan_curve(2, cur, s, params).state
         jumps.append((x, cur))
+    return U0, jumps
+
+
+def test_fronttrack_truncation(tmp_path, capsys):
+    U0, jumps = _three_2_shocks()
     scenario = tmp_path / "scenario.json"
     write_fronttrack_scenario(scenario, jumps, U0, max_events=2)
     code = run_cli("fronttrack", "--scenario", str(scenario))
     assert code == 0
     assert "truncated" in capsys.readouterr().out
+
+
+def test_fronttrack_failed_event_leaves_the_partial_log(tmp_path, capsys, monkeypatch):
+    U0, jumps = _three_2_shocks()
+    scenario = tmp_path / "scenario.json"
+    write_fronttrack_scenario(scenario, jumps, U0)
+    # three solves at init and one at the first event; the second event fails
+    calls = []
+    solve = ft.solve_riemann
+
+    def failing_solve(*args):
+        calls.append(args)
+        if len(calls) == 5:
+            raise ConvergenceError("synthetic failure", residual=1.0)
+        return solve(*args)
+
+    monkeypatch.setattr(ft, "solve_riemann", failing_solve)
+    prefix = tmp_path / "run"
+    code = run_cli("fronttrack", "--scenario", str(scenario), "--out", str(prefix))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "event 1 at t=" in err and "synthetic failure" in err
+    events = list(csv.DictReader((tmp_path / "run_events.csv").open()))
+    assert [e["index"] for e in events] == ["0"]
+    rows = list(csv.DictReader((tmp_path / "run_observables.csv").open()))
+    assert [int(r["n_events"]) for r in rows] == [0, 1]
+    lines = (tmp_path / "run_trajectories.tsv").read_text().strip().splitlines()
+    assert len(lines) == 1 + 2 + int(rows[-1]["n_fronts"])  # two dead fronts + the live ones
 
 
 def test_scenario_rejects_unknown_keys(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Front-tracking tests: initialization, kinematics, collisions, oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import bjsystem.fronttrack as ft
 import bjsystem.riemann as rm
 import bjsystem.wavecurves as wc
-from bjsystem.errors import DomainError
+from bjsystem.errors import DomainError, HyperbolicityError, TrackerEventError
 from bjsystem.flux import ModelParams
 
 import oracles
@@ -252,6 +254,7 @@ def test_resolve_cancellation_empties_fan():
     ft.resolve_collision(st, cand)
     assert st.fronts == []
     assert st.event_log[0].outgoing == ()
+    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
 
 
 def test_run_constant_data():
@@ -390,6 +393,27 @@ def test_run_rejects_past_horizon():
     st.time = 2.0
     with pytest.raises(DomainError):
         ft.run(st, 1.0)
+
+
+def test_run_names_the_event_that_failed(monkeypatch):
+    params = ModelParams(1e-4)
+    U0 = np.array([0.25, 0.004, -0.25])
+    jumps = two_shock_wall(U0, [-0.1, 0.1], [-2e-3, -2.2e-3], params)
+    st = ft.init_from_piecewise(jumps, U0, params)
+    cand = ft.next_collision(st)
+
+    def failing_solve(*args):
+        raise HyperbolicityError("synthetic failure")
+
+    monkeypatch.setattr(ft, "solve_riemann", failing_solve)
+    with pytest.raises(TrackerEventError) as info:
+        ft.run(st, 1e4)
+    exc = info.value
+    assert isinstance(exc, ArithmeticError)
+    assert isinstance(exc.__cause__, HyperbolicityError)
+    assert (exc.time, exc.position, exc.incoming_ids) == (cand.time, cand.position, (0, 1))
+    assert [rec.n_events for rec in exc.series] == [0]
+    assert st.event_log == [] and len(st.fronts) == 2
 
 
 def _seeded_jumps(rng, U0, layout, params):
@@ -534,6 +558,7 @@ def test_observables_equal_the_loop_with_few_fronts(n_fronts):
     jumps = _seeded_jumps(np.random.default_rng(1), U0, [(2, -0.05), (1, -0.02)], params)
     st = ft.init_from_piecewise(jumps[:n_fronts], U0, params)
     assert len(st.fronts) == n_fronts
+    _assert_rows_fresh(st)
     st.time = 0.75
     assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
 
@@ -548,6 +573,115 @@ def test_observables_equal_the_loop_at_a_single_jump(x):
     st = ft.init_from_piecewise([(x, U3)], U0, params, delta=0.01)
     terms = 0.0 * (np.array([f.right for f in st.fronts[:-1]]) - U0)
     assert len(st.fronts) == 4 and np.signbit(terms[:, 2]).all()
+    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+
+
+def _assert_rows_fresh(st):
+    """The kept state rows are C-contiguous and equal fresh gathers bit for bit."""
+    assert st._rows_of is st.fronts
+    for rows, side in ((st._left_rows, "left"), (st._right_rows, "right")):
+        fresh = ft._stacked([getattr(f, side) for f in st.fronts])
+        assert rows.flags.c_contiguous and rows.shape == fresh.shape
+        assert rows.tobytes() == fresh.tobytes()
+
+
+def _count_rebuilds(monkeypatch):
+    calls = []
+    rebuild = ft._rebuild_rows
+
+    def counting_rebuild(st):
+        calls.append(len(st.fronts))
+        rebuild(st)
+
+    monkeypatch.setattr(ft, "_rebuild_rows", counting_rebuild)
+    return calls
+
+
+@pytest.mark.parametrize("run, n_events", [("shock", 3000), ("rarefaction", 1500)])
+def test_state_rows_equal_fresh_gathers_after_every_event(monkeypatch, run, n_events):
+    if run == "shock":
+        jumps, U0, params = _shock_run()
+        st = ft.init_from_piecewise(jumps, U0, params)
+    else:
+        st = _rarefaction_run()
+    _assert_rows_fresh(st)
+    rebuilds = _count_rebuilds(monkeypatch)
+    for _ in range(n_events):
+        ft.resolve_collision(st, ft.next_collision(st))
+        _assert_rows_fresh(st)
+    ft.observables(st)
+    assert rebuilds == []
+
+
+def _hand_front(uid, family, left, right, x, speed):
+    return ft.Front(uid=uid, family=family, kind="shock", strength=0.0, left=left,
+                    right=right, speed=speed, birth_x=x, birth_t=0.0)
+
+
+def test_observables_on_a_hand_built_state(monkeypatch):
+    U0 = np.array([0.2, 0.3, -0.2])
+    U1 = wc.wave_fan_curve(2, U0, -0.1, P0).state
+    U2 = wc.wave_fan_curve(2, U1, -0.05, P0).state
+    U3 = wc.wave_fan_curve(1, U2, -0.02, P0).state
+    st = kinematic_state([
+        _hand_front(0, 2, U0, U1, -1.0, 0.5),
+        _hand_front(1, 2, U1, U2, 0.0, -0.5),
+        _hand_front(2, 1, U2, U3, 1.0, -4.0),
+    ])
+    st.left_boundary_state = U0
+    rebuilds = _count_rebuilds(monkeypatch)
+    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    assert rebuilds == [3]
+    _assert_rows_fresh(st)
+    ft.resolve_collision(st, ft.next_collision(st))
+    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    assert rebuilds == [3]
+    _assert_rows_fresh(st)
+
+
+def test_observables_after_fronts_are_reassigned(monkeypatch):
+    jumps, U0, params = _shock_run()
+    st = ft.init_from_piecewise(jumps, U0, params)
+    for _ in range(50):
+        ft.resolve_collision(st, ft.next_collision(st))
+    ft.observables(st)
+    rebuilds = _count_rebuilds(monkeypatch)
+    # a new list of the same length, with the last front's right state moved
+    last = st.fronts[-1]
+    st.fronts = st.fronts[:-1] + [dataclasses.replace(last, right=last.right + 1e-3)]
+    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    # a shorter new list, and the same list made shorter; then events on it
+    st.fronts = st.fronts[:-5]
+    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    del st.fronts[-3:]
+    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    assert len(rebuilds) == 3
+    for _ in range(20):
+        ft.resolve_collision(st, ft.next_collision(st))
+        assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+        _assert_rows_fresh(st)
+    assert len(rebuilds) == 3
+
+
+def test_observables_after_a_cancellation_between_other_fronts():
+    # the middle pair meets head-on with equal outer states and leaves nothing
+    U0 = np.array([0.1, 0.2, -0.1])
+    U1 = wc.wave_fan_curve(1, U0, -0.02, P0).state
+    U2 = wc.wave_fan_curve(2, U1, -0.1, P0).state
+    U3 = wc.wave_fan_curve(3, U1, 0.02, P0).state
+    st = kinematic_state([
+        _hand_front(0, 1, U0, U1, -3.0, -4.0),
+        _hand_front(1, 2, U1, U2, -1.0, 1.0),
+        _hand_front(2, 2, U2, U1, 1.0, -1.0),
+        _hand_front(3, 3, U1, U3, 3.0, 4.0),
+    ])
+    st.left_boundary_state = U0
+    cand = ft.next_collision(st)
+    assert cand.indices == (1, 2)
+    ft.resolve_collision(st, cand)
+    assert st.event_log[-1].outgoing == ()
+    assert [f.uid for f in st.fronts] == [0, 3]
+    _assert_rows_fresh(st)
     assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
 
 

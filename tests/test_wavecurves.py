@@ -270,7 +270,7 @@ def test_wave_fan_dispatch():
     # returns the base state at the family speed
     for fam in (1, 2, 3):
         old_zero = wc.CurvePoint(
-            state=base.copy(), speed=float(fx.eigenvalues(base, params)[fam - 1]), param=0.0
+            state=base.copy(), speed=float(fx.eigenvalues(base, params)[fam - 1])
         )
         for s in (0.0, -0.0):
             assert repr(wc.wave_fan_curve(fam, base, s, params)) == repr(old_zero)

@@ -1,9 +1,11 @@
 """Command-line front end: Riemann solves, verification suites, front tracking.
 
 Exit codes: 0 all checks passed, 1 validation or check failure, 2 numeric
-breakdown.  Scenario files are JSON documents with a top-level
-schema_version; inline flags override file values.  Reports are CSV (header
-row; TSV on request), trajectories TSV, single-fan dumps JSON.
+breakdown.  Scenario files are JSON with the sections and keys of `_SETTINGS`
+and an optional schema_version "1".  A setting is its flag, else the file's
+value, else its default; a missing required value, or one that does not
+convert to its default's type, exits 1 naming the key.  Reports are CSV
+(header row; TSV on request), trajectories TSV, single-fan dumps JSON.
 """
 
 import argparse
@@ -31,24 +33,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_NUMERIC = 2
 
-VERIFY_SUITES = (
-    "hyperbolicity",
-    "gnl",
-    "hugoniot",
-    "taylor22",
-    "pattern22",
-    "bounds12",
-    "contraction",
-)
-
-_TOP_LEVEL_KEYS = {"schema_version", "model", "riemann", "verify", "fronttrack"}
-_SECTION_KEYS = {
-    "model": {"eta"},
-    "riemann": {"ul", "ur", "sample", "xi_min", "xi_max"},
-    "verify": {"which", "a", "eps", "samples", "seed", "radius"},
-    "fronttrack": {"u_left", "jumps", "delta", "t_end", "max_events"},
-}
-
 
 def _parse_state(value):
     if not isinstance(value, str):
@@ -62,6 +46,31 @@ def _parse_state(value):
     return np.array([float(p) for p in parts])
 
 
+def _parse_jumps(value):
+    """[x, [u, v, w]] pairs, each giving the state to the right of x."""
+    if not (isinstance(value, list) and all(isinstance(j, list) and len(j) == 2 for j in value)):
+        raise DomainError(f"expected a list of [x, [u, v, w]] pairs, got {value!r}")
+    return [(float(x), _parse_state(state)) for x, state in value]
+
+
+# Each scenario section's keys with their defaults.  A required key has no
+# default: its parser stands in its place.  The flags carry the same names.
+_SETTINGS = {
+    "model": {"eta": 0.0},
+    "riemann": {
+        "ul": _parse_state, "ur": _parse_state, "sample": 0, "xi_min": -6.0, "xi_max": 6.0,
+    },
+    "verify": {
+        "which": str, "a": 0.25, "eps": ia.DEFAULT_EPS_22, "samples": 100, "seed": 0,
+        "radius": 0.9,
+    },
+    "fronttrack": {
+        "u_left": _parse_state, "jumps": _parse_jumps, "delta": ft.DELTA_DEFAULT, "t_end": 1.0,
+        "max_events": ft.MAX_EVENTS,
+    },
+}
+
+
 def load_scenario(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -70,19 +79,48 @@ def load_scenario(path):
         raise DomainError(f"cannot read scenario file {path!r}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DomainError("scenario file must hold a JSON object")
-    unknown = set(doc) - _TOP_LEVEL_KEYS
+    unknown = set(doc) - {"schema_version", *_SETTINGS}
     if unknown:
         raise DomainError(f"unknown scenario keys: {sorted(unknown)}")
-    for section, allowed in _SECTION_KEYS.items():
-        sub = doc.get(section)
-        if sub is None:
-            continue
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise DomainError(f"schema_version must be {SCHEMA_VERSION!r}, got {version!r}")
+    for section, keys in _SETTINGS.items():
+        sub = doc.get(section, {})
         if not isinstance(sub, dict):
             raise DomainError(f"scenario section {section!r} must be an object")
-        bad = set(sub) - allowed
+        bad = set(sub) - set(keys)
         if bad:
             raise DomainError(f"unknown keys in scenario section {section!r}: {sorted(bad)}")
     return doc
+
+
+def _setting(args, scenario, section, key, spec):
+    """The flag `key` if given, else the scenario's value, else the default `spec`.
+
+    The value is coerced to the default's type.  A required key passes its
+    parser as `spec`: it has no default, and the parser reads the value.
+    """
+    value = getattr(args, key, None)
+    if value is None:
+        value = scenario.get(section, {}).get(key)
+    if value is None:
+        if callable(spec):
+            raise DomainError(f"{args.command} needs {key!r}")
+        return spec
+    try:
+        return (spec if callable(spec) else type(spec))(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"bad {section} setting {key!r}: {exc}") from None
+
+
+def _settings(args, scenario, section, **defaults):
+    """Every setting of the model section and of `section`; `defaults` replace the table's."""
+    return argparse.Namespace(**{
+        key: _setting(args, scenario, sec, key, defaults.get(key, spec))
+        for sec in ("model", section)
+        for key, spec in _SETTINGS[sec].items()
+    })
 
 
 def _open_out(path):
@@ -144,21 +182,14 @@ def fan_document(fan):
 
 
 def cmd_riemann(args, scenario):
-    section = scenario.get("riemann", {})
-    ul_src = args.ul if args.ul is not None else section.get("ul")
-    ur_src = args.ur if args.ur is not None else section.get("ur")
-    if ul_src is None or ur_src is None:
-        raise DomainError("riemann needs --ul and --ur (or a scenario file providing both)")
-    ul = _parse_state(ul_src)
-    ur = _parse_state(ur_src)
-    for name, U in (("left", ul), ("right", ur)):
+    cfg = _settings(args, scenario, "riemann")
+    for name, U in (("left", cfg.ul), ("right", cfg.ur)):
         if not in_unit_ball(U):
             raise DomainError(f"{name} state violates |U| < 1: {U.tolist()}")
-    eta = args.eta if args.eta is not None else scenario.get("model", {}).get("eta", 0.0)
-    params = ModelParams(eta)
+    params = ModelParams(cfg.eta)
 
     try:
-        fan = solve_riemann(ul, ur, params)
+        fan = solve_riemann(cfg.ul, cfg.ur, params)
     except ConvergenceError as exc:
         print(f"riemann solve failed: {exc} (residual {exc.residual})", file=sys.stderr)
         return EXIT_NUMERIC
@@ -186,10 +217,7 @@ def cmd_riemann(args, scenario):
             json.dump(fan_document(fan), fh, indent=2)
             fh.write("\n")
 
-    sample = args.sample or int(section.get("sample", 0))
-    if sample:
-        xi_min = args.xi_min if args.xi_min is not None else float(section.get("xi_min", -6.0))
-        xi_max = args.xi_max if args.xi_max is not None else float(section.get("xi_max", 6.0))
+    if cfg.sample:
         rows = [
             {
                 "xi": _fmt_num(xi),
@@ -197,7 +225,7 @@ def cmd_riemann(args, scenario):
                 "v": _fmt_num(state[1]),
                 "w": _fmt_num(state[2]),
             }
-            for xi in np.linspace(xi_min, xi_max, sample)
+            for xi in np.linspace(cfg.xi_min, cfg.xi_max, cfg.sample)
             for state in [evaluate_fan(fan, float(xi))]
         ]
         write_records(rows, ["xi", "u", "v", "w"], args.sample_out, args.format)
@@ -208,9 +236,9 @@ def cmd_riemann(args, scenario):
 # verify command
 
 
-def _verify_hyperbolicity(args, params):
+def _verify_hyperbolicity(cfg, params):
     report = check_strict_hyperbolicity(
-        params, radius=args.radius, n_samples=args.samples, seed=args.seed
+        params, radius=cfg.radius, n_samples=cfg.samples, seed=cfg.seed
     )
     rec = {
         "scenario_id": 0,
@@ -225,9 +253,9 @@ def _verify_hyperbolicity(args, params):
     return [rec], report.passed
 
 
-def _verify_gnl(args, params):
+def _verify_gnl(cfg, params):
     report = check_genuine_nonlinearity(
-        params, radius=min(args.radius, 0.89), n_samples=args.samples, seed=args.seed
+        params, radius=min(cfg.radius, 0.89), n_samples=cfg.samples, seed=cfg.seed
     )
     rec = {
         "scenario_id": 0,
@@ -245,8 +273,8 @@ def _verify_gnl(args, params):
     return [rec], report.passed
 
 
-def _verify_hugoniot(args, params):
-    """Closed-form 2-Hugoniot points against the Rankine-Hugoniot residual."""
+def _verify_hugoniot(cfg, params):
+    """2-Hugoniot points at the model's eta against the Rankine-Hugoniot residual."""
     corners = [(-0.5, -0.5), (-0.5, 0.5), (0.5, -0.5), (0.5, 0.5),
                (-0.5, 0.0), (0.5, 0.0), (0.0, -0.5), (0.0, 0.5)]
     records = []
@@ -257,7 +285,7 @@ def _verify_hugoniot(args, params):
             worst = 0.0
             for ub, wb in corners:
                 base = np.array([ub, vbar, wb])
-                point = wc.hugoniot2_closed_form(base, float(s))
+                point = wc.hugoniot(2, base, float(s), params)
                 worst = max(worst, point.residual)
             ok = worst <= 1e-12
             all_ok = all_ok and ok
@@ -274,8 +302,8 @@ def _verify_hugoniot(args, params):
     return records, all_ok
 
 
-def _verify_taylor22(args, params):
-    fit = ia.taylor_fit_22(a=args.a, eta=params.eta)
+def _verify_taylor22(cfg, params):
+    fit = ia.taylor_fit_22(a=cfg.a, eta=params.eta)
     rel_s = abs(fit.c_sigma - fit.c_sigma_target) / abs(fit.c_sigma_target)
     rel_t = abs(fit.c_tau - fit.c_tau_target) / abs(fit.c_tau_target)
     g_rel = float(np.max(np.abs(fit.g_cubic - ia.G_CUBIC_TARGET) / np.abs(ia.G_CUBIC_TARGET)))
@@ -296,11 +324,11 @@ def _verify_taylor22(args, params):
     return [rec], ok
 
 
-def _verify_pattern22(args, params):
+def _verify_pattern22(cfg, params):
     """Outgoing-sign certification for sampled 2-2 collisions."""
     records = []
     all_ok = True
-    scenarios = ia.sample_scenarios_22(args.samples, a=args.a, eps=args.eps, seed=args.seed)
+    scenarios = ia.sample_scenarios_22(cfg.samples, a=cfg.a, eps=cfg.eps, seed=cfg.seed)
     for i, sc in enumerate(scenarios):
         rep = ia.interact_22(sc)
         ok = rep.pattern == "SSS"
@@ -322,10 +350,10 @@ def _verify_pattern22(args, params):
     return records, all_ok
 
 
-def _verify_bounds12(args, params):
+def _verify_bounds12(cfg, params):
     records = []
     all_ok = True
-    for i, row in enumerate(ia.verify_bounds_12(args.samples, eta=params.eta, seed=args.seed)):
+    for i, row in enumerate(ia.verify_bounds_12(cfg.samples, eta=params.eta, seed=cfg.seed)):
         rec = {
             "scenario_id": i,
             "ul_u": row.scenario.Ul[0],
@@ -347,10 +375,10 @@ def _verify_bounds12(args, params):
     return records, all_ok
 
 
-def _verify_contraction(args, params):
+def _verify_contraction(cfg, params):
     records = []
     all_ok = True
-    for i, sc in enumerate(ia.sample_scenarios_12(args.samples, eta=params.eta, seed=args.seed)):
+    for i, sc in enumerate(ia.sample_scenarios_12(cfg.samples, eta=params.eta, seed=cfg.seed)):
         result = ia.contraction_solve_12(sc)
         ok = result.contraction_ratio <= 0.5
         all_ok = all_ok and ok
@@ -370,48 +398,30 @@ def _verify_contraction(args, params):
     return records, all_ok
 
 
-_VERIFY_RUNNERS = {
-    "hyperbolicity": _verify_hyperbolicity,
-    "gnl": _verify_gnl,
-    "hugoniot": _verify_hugoniot,
-    "taylor22": _verify_taylor22,
-    "pattern22": _verify_pattern22,
-    "bounds12": _verify_bounds12,
-    "contraction": _verify_contraction,
+# each suite's runner, and its default eta and sample count where they differ
+# from the table's
+_SUITES = {
+    "hyperbolicity": (_verify_hyperbolicity, {"samples": 10000}),
+    "gnl": (_verify_gnl, {"samples": 2000}),
+    "hugoniot": (_verify_hugoniot, {}),
+    "taylor22": (_verify_taylor22, {}),
+    "pattern22": (_verify_pattern22, {"samples": 1000}),
+    "bounds12": (_verify_bounds12, {"eta": ia.DEFAULT_ETA_12, "samples": 1000}),
+    "contraction": (_verify_contraction, {"eta": ia.DEFAULT_ETA_12, "samples": 200}),
 }
-
-_VERIFY_DEFAULT_ETA = {"bounds12": 1e-3, "contraction": 1e-3}
-_VERIFY_DEFAULT_SAMPLES = {
-    "hyperbolicity": 10000,
-    "gnl": 2000,
-    "pattern22": 1000,
-    "bounds12": 1000,
-    "contraction": 200,
-}
+VERIFY_SUITES = tuple(_SUITES)
 
 
 def cmd_verify(args, scenario):
-    section = scenario.get("verify", {})
-    which = args.which or section.get("which")
-    if which not in VERIFY_SUITES:
+    which = _setting(args, scenario, "verify", "which", str)
+    if which not in _SUITES:
         raise DomainError(f"verify suite must be one of {VERIFY_SUITES}, got {which!r}")
-    eta = args.eta
-    if eta is None:
-        eta = scenario.get("model", {}).get("eta", _VERIFY_DEFAULT_ETA.get(which, 0.0))
-    params = ModelParams(eta)
-    if args.samples is None:
-        args.samples = int(section.get("samples", _VERIFY_DEFAULT_SAMPLES.get(which, 100)))
-    if args.seed is None:
-        args.seed = int(section.get("seed", 0))
-    if args.a is None:
-        args.a = float(section.get("a", 0.25))
-    if args.eps is None:
-        args.eps = float(section.get("eps", ia.DEFAULT_EPS_22))
-    if args.radius is None:
-        args.radius = float(section.get("radius", 0.9))
+    run, defaults = _SUITES[which]
+    cfg = _settings(args, scenario, "verify", **defaults)
+    params = ModelParams(cfg.eta)
 
     try:
-        records, ok = _VERIFY_RUNNERS[which](args, params)
+        records, ok = run(cfg, params)
     except (ConvergenceError, HyperbolicityError) as exc:
         print(f"verify {which}: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -419,7 +429,7 @@ def cmd_verify(args, scenario):
     # reproducibility: every record carries the fully resolved configuration
     for rec in records:
         rec.setdefault("eta", params.eta)
-        rec.setdefault("seed", args.seed)
+        rec.setdefault("seed", cfg.seed)
     fields = list(records[0].keys()) if records else ["scenario_id", "eta", "seed"]
     write_records(records, fields, args.out, args.format)
     n_fail = sum(1 for r in records if not r.get("pass", True))
@@ -435,22 +445,12 @@ def cmd_verify(args, scenario):
 
 
 def cmd_fronttrack(args, scenario):
-    section = scenario.get("fronttrack")
-    if not section:
-        raise DomainError("fronttrack needs a scenario file with a 'fronttrack' section")
-    u_left = _parse_state(section["u_left"])
-    jumps = [(float(x), _parse_state(state)) for x, state in section["jumps"]]
-    eta = args.eta if args.eta is not None else scenario.get("model", {}).get("eta", 0.0)
-    delta = args.delta if args.delta is not None else float(section.get("delta", ft.DELTA_DEFAULT))
-    t_end = args.t_end if args.t_end is not None else float(section.get("t_end", 1.0))
-    max_events = (
-        args.max_events if args.max_events is not None else int(section.get("max_events", 10000))
-    )
-    params = ModelParams(eta)
+    cfg = _settings(args, scenario, "fronttrack")
+    params = ModelParams(cfg.eta)
 
     try:
-        st = ft.init_from_piecewise(jumps, u_left, params, delta=delta)
-        st, series = ft.run(st, t_end, max_events=max_events)
+        st = ft.init_from_piecewise(cfg.jumps, cfg.u_left, params, delta=cfg.delta)
+        st, series = ft.run(st, cfg.t_end, max_events=cfg.max_events)
     except TrackerEventError as exc:
         # leave the partial log: everything up to the last completed event
         _write_tracker_outputs(args, st, exc.series)
@@ -539,7 +539,7 @@ def build_parser():
     pr.add_argument("--ur", help="right state as 'u,v,w'")
     pr.add_argument("--eta", type=float, default=None, help="perturbation parameter in [0, 1/4)")
     pr.add_argument("--scenario", help="JSON scenario file")
-    pr.add_argument("--sample", type=int, default=0, help="emit N self-similar profile samples")
+    pr.add_argument("--sample", type=int, default=None, help="emit N self-similar profile samples")
     pr.add_argument("--xi-min", dest="xi_min", type=float, default=None)
     pr.add_argument("--xi-max", dest="xi_max", type=float, default=None)
     pr.add_argument("--out", help="write the fan as JSON to this path")

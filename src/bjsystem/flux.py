@@ -88,8 +88,8 @@ def as_state(U) -> np.ndarray:
     return arr
 
 
-def in_unit_ball(U, radius: float = 1.0) -> bool:
-    return bool(np.linalg.norm(U) < radius)
+def in_unit_ball(U) -> bool:
+    return bool(np.linalg.norm(U) < 1.0)
 
 
 def _entries(A: np.ndarray, rank: int):
@@ -325,12 +325,11 @@ def eigensystem(U, params: ModelParams) -> EigenSystem:
 # sampling and whole-ball probes
 
 
-def halton(n: int, dim: int = 3, start: int = 1) -> np.ndarray:
-    """First n points of the Halton sequence (bases 2, 3, 5), offset by start."""
-    bases = (2, 3, 5)[:dim]
+def halton(n: int, start: int = 1) -> np.ndarray:
+    """First n points of the 3-D Halton sequence (bases 2, 3, 5), offset by start."""
     idx = np.arange(start, start + n)
-    out = np.empty((n, dim))
-    for d, b in enumerate(bases):
+    out = np.empty((n, 3))
+    for d, b in enumerate((2, 3, 5)):
         x = np.zeros(n)
         f = 1.0
         i = idx.copy()
@@ -350,7 +349,7 @@ def sample_ball(n: int, radius: float, seed: int = 0) -> np.ndarray:
     """
     if n <= 0:
         return np.empty((0, 3))
-    t = halton(n, 3, start=1 + seed * n)
+    t = halton(n, start=1 + seed * n)
     r = radius * t[:, 0] ** (1.0 / 3.0)
     cos_th = 1.0 - 2.0 * t[:, 1]
     sin_th = np.sqrt(np.maximum(0.0, 1.0 - cos_th ** 2))

@@ -42,6 +42,7 @@ from .flux import flux as flux_fn
 from .riemann import RAREFACTION, _make_wave, solve_riemann
 
 DELTA_DEFAULT = 1e-3
+MAX_EVENTS = 10000
 TOL_EVENT = 1e-12
 SPEED_TIE_TOL = 1e-14
 
@@ -86,6 +87,10 @@ class TrackerParams:
     model: ModelParams
     delta: float = DELTA_DEFAULT
 
+    def __post_init__(self):
+        if not self.delta > 0.0:
+            raise DomainError(f"rarefaction piece size delta must be positive, got {self.delta}")
+
 
 @dataclass
 class TrackerState:
@@ -106,12 +111,6 @@ class TrackerState:
         uid = self._next_uid
         self._next_uid += 1
         return uid
-
-    def states(self) -> list:
-        """Constant states left to right (boundary state first)."""
-        out = [self.left_boundary_state]
-        out.extend(f.right for f in self.fronts)
-        return out
 
     def positions(self, t: float | None = None) -> list:
         t = self.time if t is None else t
@@ -474,7 +473,7 @@ def observables(st: TrackerState) -> ObservableRecord:
     )
 
 
-def run(st: TrackerState, t_end: float, max_events: int = 10000):
+def run(st: TrackerState, t_end: float, max_events: int = MAX_EVENTS):
     """Advance event by event until t_end, recording observables after each.
 
     Exceeding max_events sets st.truncated instead of raising.  A
@@ -569,13 +568,12 @@ def burgers_oracle(
     jumps,
     t_end: float,
     delta: float = DELTA_DEFAULT,
-    max_events: int = 10000,
 ) -> BurgersTrajectory:
     """Independent exact front tracking for v_t + (v^2)_x = 0.
 
     `jumps` lists (x, v) with the value to the right of each position; shocks
     move at v_left + v_right, rarefactions are split with the same delta rule
-    as the system tracker.
+    as the system tracker.  It stops after MAX_EVENTS events.
     """
     xs = [float(x) for x, _ in jumps]
     if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -591,7 +589,7 @@ def burgers_oracle(
         current = float(v)
     time = 0.0
     event_times = []
-    while len(event_times) < max_events:
+    while len(event_times) < MAX_EVENTS:
         best = None
         for i in range(len(fronts) - 1):
             dv = fronts[i].speed - fronts[i + 1].speed

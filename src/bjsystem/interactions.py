@@ -33,6 +33,8 @@ from .riemann import RiemannFan, solve_riemann
 DEFAULT_EPS_22 = 1e-2
 DEFAULT_ETA_12 = 1e-3
 PATTERN_TOL = 1e-13
+STRENGTH_FLOOR_22 = 0.1
+TAYLOR_POINTS_PER_SCALE = 5
 CONTRACTION_TOL = 1e-14
 CONTRACTION_MAX_ITER = 200
 ORACLE_AGREEMENT_TOL = 1e-9
@@ -41,7 +43,9 @@ G_CUBIC_TARGET = np.array([[4.0, 3.0], [2.0, 3.0]]) / 32.0
 
 
 def base_point(a: float) -> np.ndarray:
-    """The distinguished base state (a, 0, -a)."""
+    """The distinguished base state (a, 0, -a), for a in (0, 1/2)."""
+    if not 0.0 < a < 0.5:
+        raise DomainError(f"base parameter a must lie in (0, 1/2), got {a}")
     return np.array([a, 0.0, -a])
 
 
@@ -57,12 +61,11 @@ class Interaction22Scenario:
     eps: float = DEFAULT_EPS_22
 
     def __post_init__(self):
-        if not 0.0 < self.a < 0.5:
-            raise DomainError(f"base parameter a must lie in (0, 1/2), got {self.a}")
+        base = base_point(self.a)
         Ul = as_state(self.Ul)
         object.__setattr__(self, "Ul", Ul)
         box = self.eps * self.a
-        if np.linalg.norm(Ul - base_point(self.a)) > box * (1.0 + 1e-12):
+        if np.linalg.norm(Ul - base) > box * (1.0 + 1e-12):
             raise DomainError("left state outside the eps*a ball around (a, 0, -a)")
         for name, s in (("s1", self.s1), ("s2", self.s2)):
             if not -box <= s <= 0.0:
@@ -109,7 +112,6 @@ class InteractionReport:
     pattern: str
     residual: float
     bound_checks: tuple = ()
-    fitted_coeffs: object = None
     mid_discrepancy: float = 0.0
     fan: RiemannFan | None = None
 
@@ -118,7 +120,7 @@ class InteractionReport:
         return all(c.passed for c in self.bound_checks)
 
 
-def _pattern(sigma: float, s_mid: float, tau: float, tol: float = PATTERN_TOL) -> str:
+def _pattern(sigma: float, s_mid: float, tau: float) -> str:
     """Classify the outgoing triple by admissible-side signs.
 
     'S' marks a wave on the shock side of its family (at eta = 0 the outer
@@ -127,7 +129,7 @@ def _pattern(sigma: float, s_mid: float, tau: float, tol: float = PATTERN_TOL) -
     """
     out = []
     for fam, s in ((1, sigma), (2, s_mid), (3, tau)):
-        if abs(s) <= tol:
+        if abs(s) <= PATTERN_TOL:
             out.append("-")
         elif wc.shock_side(fam, s):
             out.append("S")
@@ -164,11 +166,10 @@ def sample_scenarios_22(
     a: float = 0.25,
     eps: float = DEFAULT_EPS_22,
     seed: int = 0,
-    strength_floor: float = 0.1,
 ) -> list:
     """Seeded scenarios in the 2-2 hypothesis box.
 
-    Strengths are drawn from [-eps*a, -strength_floor*eps*a]: the outgoing
+    Strengths are drawn from [-eps*a, -STRENGTH_FLOOR_22*eps*a]: the outgoing
     outer strengths scale like s1 s2 (s1 + s2), so strengths below roughly
     1e-4 push the certified signs under the double-precision solver noise.
     """
@@ -179,8 +180,8 @@ def sample_scenarios_22(
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         Ul = base_point(a) + box * rng.uniform(0.0, 1.0) ** (1.0 / 3.0) * direction
-        s1 = -rng.uniform(strength_floor * box, box)
-        s2 = -rng.uniform(strength_floor * box, box)
+        s1 = -rng.uniform(STRENGTH_FLOOR_22 * box, box)
+        s2 = -rng.uniform(STRENGTH_FLOOR_22 * box, box)
         eta = rng.uniform(0.0, box)
         out.append(Interaction22Scenario(a=a, Ul=Ul, s1=s1, s2=s2, eta=eta, eps=eps))
     return out
@@ -253,13 +254,7 @@ def fit_cubic_coefficient(pairs, values):
     return float(m @ np.asarray(values)) / den, cond
 
 
-def taylor_fit_22(
-    a: float = 0.25,
-    eta: float = 0.0,
-    Ul=None,
-    scales=None,
-    points_per_scale: int = 5,
-) -> TaylorFit22:
+def taylor_fit_22(a: float = 0.25, eta: float = 0.0) -> TaylorFit22:
     """Fit the cubic Taylor coefficients of the outgoing 2-2 strengths.
 
     Runs the full interaction over 5x5 stencils at three strength scales,
@@ -268,13 +263,9 @@ def taylor_fit_22(
     diagnostic g_cubic is fitted the same way from the exact eta = 0
     g_matrix, entry by entry.
     """
-    Ul = base_point(a) if Ul is None else as_state(Ul)
-    if scales is None:
-        h0 = 2.5e-3 * a
-        scales = (h0, 2.0 * h0, 4.0 * h0)
-    if len(scales) != 3:
-        raise DomainError("taylor_fit_22 expects exactly three scales for extrapolation")
-    scales = tuple(sorted(float(h) for h in scales))
+    Ul = base_point(a)
+    h0 = 2.5e-3 * a
+    scales = (h0, 2.0 * h0, 4.0 * h0)
     eps_needed = max(scales[-1] / a, DEFAULT_EPS_22)
 
     cs_scale, ct_scale, g_scale = [], [], []
@@ -282,9 +273,9 @@ def taylor_fit_22(
     axis_max = 0.0
     for h in scales:
         pairs = [
-            (-h * i / points_per_scale, -h * j / points_per_scale)
-            for i in range(1, points_per_scale + 1)
-            for j in range(1, points_per_scale + 1)
+            (-h * i / TAYLOR_POINTS_PER_SCALE, -h * j / TAYLOR_POINTS_PER_SCALE)
+            for i in range(1, TAYLOR_POINTS_PER_SCALE + 1)
+            for j in range(1, TAYLOR_POINTS_PER_SCALE + 1)
         ]
         sigmas, taus = [], []
         for s1, s2 in pairs:
@@ -306,7 +297,7 @@ def taylor_fit_22(
         g_scale.append(g_fit)
 
         # single-wave axes: with s2 = 0 (or s1 = 0) the outgoing outer waves vanish
-        for s1 in (-h, -h / points_per_scale):
+        for s1 in (-h, -h / TAYLOR_POINTS_PER_SCALE):
             rep = interact_22(
                 Interaction22Scenario(a=a, Ul=Ul, s1=s1, s2=0.0, eta=eta, eps=eps_needed)
             )

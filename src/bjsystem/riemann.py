@@ -104,12 +104,12 @@ def _make_wave(fam: int, strength: float, left, right, params: ModelParams) -> W
     return Wave(family=fam, kind=kind, strength=float(strength), left=left, right=right, speed=speed)
 
 
-def solve_riemann(Ul, Ur, params: ModelParams, max_iter: int = MAX_ITER) -> RiemannFan:
+def solve_riemann(Ul, Ur, params: ModelParams) -> RiemannFan:
     """Solve the Riemann problem between Ul and Ur.
 
     Secant iteration in s1 on the w-mismatch g(s1), started at s1 = 0 and
     s1 = -g(0)/2; a step is kept only while |g| decreases, for at most
-    `max_iter` steps.  Raises ConvergenceError (carrying the best iterate
+    MAX_ITER steps.  Raises ConvergenceError (carrying the best iterate
     and its residual) if |g| stays above SOLVER_TOL (1 + |(u_r, w_r)|).
     Waves of strength at most TOL_ZERO are left out of the fan.
     """
@@ -139,7 +139,7 @@ def solve_riemann(Ul, Ur, params: ModelParams, max_iter: int = MAX_ITER) -> Riem
     iterations = 1 if cur is prev else 2
     if abs(cur[-1]) > abs(prev[-1]):
         prev, cur = cur, prev
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if abs(cur[-1]) <= stop or cur[-1] == prev[-1]:
             break
         trial = compose(cur[0] - cur[-1] * (cur[0] - prev[0]) / (cur[-1] - prev[-1]))

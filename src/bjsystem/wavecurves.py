@@ -128,15 +128,15 @@ def hugoniot2_closed_form(base, s: float) -> CurvePoint:
     )
 
 
-def _hugoniot2_newton(base, s, params, tol, max_iter):
+def _hugoniot2_newton(base, s, params):
     """Family-2 RH solve for eta > 0: unknowns (u, w, gamma), v pinned to vb + s."""
     base = as_state(base)
     v_new = base[1] + s
     try:
-        init = hugoniot2_closed_form(base, s)
-        z = np.array([init.state[0], init.state[2], 2.0 * base[1] + s])
+        uw = base[[0, 2]] + hugoniot_matrix(base[1], s) @ base[[0, 2]]
     except SingularCurveError:
-        z = np.array([base[0], base[2], 2.0 * base[1] + s])
+        uw = base[[0, 2]]
+    z = np.array([uw[0], uw[1], 2.0 * base[1] + s])
     F_base = flux_fn(base, params)
     scale = 1.0 + float(np.linalg.norm(F_base))
 
@@ -148,7 +148,7 @@ def _hugoniot2_newton(base, s, params, tol, max_iter):
     r_norm = float(np.linalg.norm(R))
     e_u = np.array([1.0, 0.0, 0.0])
     e_w = np.array([0.0, 0.0, 1.0])
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if r_norm <= 1e-15 * scale:
             break
         J = jacobian(state, params)
@@ -172,7 +172,7 @@ def _hugoniot2_newton(base, s, params, tol, max_iter):
             damping *= 0.5
         if not improved:
             break
-    if r_norm > tol * scale:
+    if r_norm > NEWTON_TOL * scale:
         raise ConvergenceError(
             f"2-Hugoniot Newton residual {r_norm:.3e} above tolerance", iterate=z, residual=r_norm
         )
@@ -184,8 +184,7 @@ def _hugoniot2_newton(base, s, params, tol, max_iter):
     )
 
 
-def hugoniot(fam: int, base, s: float, params: ModelParams,
-             tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER) -> CurvePoint:
+def hugoniot(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
     """Point at parameter s on the family-`fam` Hugoniot locus through `base`."""
     _check_family(fam)
     base = as_state(base)
@@ -194,7 +193,7 @@ def hugoniot(fam: int, base, s: float, params: ModelParams,
             return CurvePoint(state=base.copy(), speed=2.0 * base[1])
         if params.eta == 0.0:
             return hugoniot2_closed_form(base, s)
-        return _hugoniot2_newton(base, s, params, tol, max_iter)
+        return _hugoniot2_newton(base, s, params)
     direction = r1_direction(base[1]) if fam == 1 else r3_direction(base[1])
     state = base + s * direction
     # lambda_fam is affine along its straight line: the shock speed is the mean

@@ -2,13 +2,15 @@
 
 import csv
 import json
+import pathlib
 
 import numpy as np
+import pytest
 
 import bjsystem.cli as cli
 import bjsystem.fronttrack as ft
 import bjsystem.wavecurves as wc
-from bjsystem.errors import ConvergenceError
+from bjsystem.errors import ConvergenceError, DomainError
 from bjsystem.flux import ModelParams
 
 
@@ -269,3 +271,135 @@ def test_verify_ball_suites_reject_zero_samples(capsys):
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: n_samples must be >= 1")
+
+
+def test_verify_hugoniot_checks_the_requested_eta(tmp_path, monkeypatch, capsys):
+    out_path = tmp_path / "hugoniot.csv"
+    assert run_cli("verify", "hugoniot", "--eta", "0.2", "--out", str(out_path)) == 0
+    rows = list(csv.DictReader(out_path.open()))
+    assert len(rows) == 425 and all(r["eta"] == "0.2" and r["pass"] == "True" for r in rows)
+    capsys.readouterr()
+
+    seen = []
+
+    def bad_point(fam, base, s, params):
+        seen.append((fam, params.eta))
+        return wc.CurvePoint(state=base, speed=0.0, residual=1e-9)
+
+    monkeypatch.setattr(wc, "hugoniot", bad_point)
+    assert run_cli("verify", "hugoniot", "--eta", "0.2") == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert set(seen) == {(2, 0.2)}
+
+
+# key: (its flag's value on the command line or None without a flag, what
+# that resolves to, a scenario file value)
+SETTING_CASES = {
+    "eta": ("0.125", 0.125, 0.0625),
+    "ul": ("0.1,0,0", [0.1, 0.0, 0.0], [0.2, 0.0, 0.0]),
+    "ur": ("0.1,0,0", [0.1, 0.0, 0.0], [0.2, 0.0, 0.0]),
+    "sample": ("3", 3, 5),
+    "xi_min": ("-1.5", -1.5, -2.5),
+    "xi_max": ("1.5", 1.5, 2.5),
+    "which": ("gnl", "gnl", "hugoniot"),
+    "a": ("0.125", 0.125, 0.375),
+    "eps": ("0.005", 0.005, 0.02),
+    "samples": ("3", 3, 5),
+    "seed": ("3", 3, 5),
+    "radius": ("0.5", 0.5, 0.75),
+    "u_left": (None, None, [0.2, 0.0, 0.0]),
+    "jumps": (None, None, [[0.5, [0.2, 0.0, 0.0]]]),
+    "delta": ("0.01", 0.01, 0.02),
+    "t_end": ("2", 2.0, 3.0),
+    "max_events": ("3", 3, 5),
+}
+
+
+@pytest.mark.parametrize(
+    "section, key", [(section, key) for section, keys in cli._SETTINGS.items() for key in keys]
+)
+def test_setting_flag_beats_file_beats_default(section, key):
+    flag, from_flag, from_file = SETTING_CASES[key]
+    command = "riemann" if section == "model" else section
+    base = [command, "--scenario", "unused.json"]
+    spec = cli._SETTINGS[section][key]
+
+    def resolve(argv, scenario):
+        args = cli.build_parser().parse_args(base + argv)
+        return cli._setting(args, scenario, section, key, spec)
+
+    scenario = {section: {key: from_file}}
+    if flag is not None:
+        argv = [flag] if key == "which" else ["--" + key.replace("_", "-"), flag]
+        np.testing.assert_equal(resolve(argv, scenario), from_flag)
+    np.testing.assert_equal(resolve([], scenario), from_file)
+    if callable(spec):
+        with pytest.raises(DomainError, match=f"needs '{key}'"):
+            resolve([], {})
+    else:
+        assert resolve([], {}) == spec
+
+
+@pytest.mark.parametrize(
+    "argv, section, key",
+    [
+        (["riemann", "--ur", "0,0,0"], None, "ul"),
+        (["riemann", "--ul", "0,0,0"], None, "ur"),
+        (["verify"], None, "which"),
+        (["fronttrack"], {"jumps": []}, "u_left"),
+        (["fronttrack"], {"u_left": [0.1, 0.0, 0.0]}, "jumps"),
+    ],
+)
+def test_missing_required_setting_exits_1_naming_it(tmp_path, capsys, argv, section, key):
+    if section is not None:
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({argv[0]: section}))
+        argv = argv + ["--scenario", str(scenario)]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {argv[0]} needs '{key}'\n"
+
+
+_TRACK = {"u_left": [0.1, 0.0, -0.1], "jumps": [[0.0, [0.1, 0.1, -0.1]]]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, named",
+    [
+        ("fronttrack", {"schema_version": "7", "fronttrack": _TRACK}, "schema_version"),
+        ("fronttrack", {"fronttrack": {**_TRACK, "jumps": 5}}, "'jumps'"),
+        ("fronttrack", {"fronttrack": {**_TRACK, "jumps": [[0.5]]}}, "'jumps'"),
+        ("fronttrack", {"fronttrack": {**_TRACK, "jumps": [[[0.5], [0, 0, 0]]]}}, "'jumps'"),
+        ("fronttrack", {"fronttrack": {**_TRACK, "u_left": {"u": 0.1}}}, "'u_left'"),
+        ("fronttrack", {"model": {"eta": [0.1]}, "fronttrack": _TRACK}, "'eta'"),
+        ("fronttrack", {"model": None, "fronttrack": _TRACK}, "'model'"),
+        ("fronttrack", {"fronttrack": {**_TRACK, "t_end": [1]}}, "'t_end'"),
+        ("fronttrack", {"fronttrack": {**_TRACK, "max_events": 1e999}}, "'max_events'"),
+        ("fronttrack", {"fronttrack": {**_TRACK, "delta": 0}}, "delta"),
+        ("riemann", {"riemann": {"ul": [0, 0, 0], "ur": {"u": 0.1}}}, "'ur'"),
+        ("verify", {"verify": {"which": "taylor22", "a": 0}}, "parameter a"),
+    ],
+)
+def test_malformed_scenario_exits_1_naming_the_key(tmp_path, capsys, command, doc, named):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert run_cli(command, "--scenario", str(scenario)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_riemann_sample_flag_zero_overrides_the_scenario(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    doc = {"riemann": {"ul": [0.1, 0, 0], "ur": [0.2, 0, 0], "sample": 4}}
+    scenario.write_text(json.dumps(doc))
+    assert run_cli("riemann", "--scenario", str(scenario)) == 0
+    assert "xi,u,v,w" in capsys.readouterr().out
+    assert run_cli("riemann", "--scenario", str(scenario), "--sample", "0") == 0
+    assert "xi,u,v,w" not in capsys.readouterr().out
+
+
+def test_readme_scenario_example_runs(tmp_path, capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    assert run_cli("fronttrack", "--scenario", str(scenario), "--max-events", "5") == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("fronttrack: 5 events")

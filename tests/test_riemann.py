@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bjsystem.flux as fx
+import bjsystem.riemann as riemann
 import bjsystem.wavecurves as wc
 from bjsystem.errors import ConvergenceError, DomainError
 from bjsystem.flux import ModelParams
@@ -237,11 +238,12 @@ def test_check_fan_empty_fan_valid():
     assert check_fan(fan, P0).ok
 
 
-def test_nonconvergence_raises_with_residual():
+def test_nonconvergence_raises_with_residual(monkeypatch):
+    monkeypatch.setattr(riemann, "MAX_ITER", 0)
     Ul = np.array([0.25, 0.0, -0.25])
     Ur = np.array([-0.2, 0.3, 0.4])
     with pytest.raises(ConvergenceError) as err:
-        solve_riemann(Ul, Ur, P0, max_iter=0)
+        solve_riemann(Ul, Ur, P0)
     assert err.value.residual is not None and err.value.residual > 0.0
 
 

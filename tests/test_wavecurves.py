@@ -94,9 +94,22 @@ def test_closed_form_matches_independent_newton():
 def test_hugoniot_newton_agrees_with_closed_form_at_eta0():
     base = np.array([0.2, 0.1, -0.3])
     closed = wc.hugoniot2_closed_form(base, -0.15)
-    newton = wc._hugoniot2_newton(base, -0.15, P0, tol=1e-12, max_iter=50)
+    newton = wc._hugoniot2_newton(base, -0.15, P0)
     assert np.max(np.abs(closed.state - newton.state)) <= 1e-10
     assert abs(closed.speed - newton.speed) <= 1e-10
+
+
+def test_hugoniot_newton_seed_computes_no_rh_residual(monkeypatch):
+    calls = []
+    rh_residual = wc.rh_residual
+
+    def counting(*args):
+        calls.append(args)
+        return rh_residual(*args)
+
+    monkeypatch.setattr(wc, "rh_residual", counting)
+    wc.hugoniot(2, np.array([0.2, 0.1, -0.3]), -0.15, ModelParams(0.05))
+    assert calls == []
 
 
 def test_hugoniot_family2_small_eta_continuation():

@@ -98,8 +98,9 @@ def load_scenario(path):
 def _setting(args, scenario, section, key, spec):
     """The flag `key` if given, else the scenario's value, else the default `spec`.
 
-    The value is coerced to the default's type.  A required key passes its
-    parser as `spec`: it has no default, and the parser reads the value.
+    The value is coerced to the default's type, which takes no bool for a
+    number and no fractional number for an integer.  A required key passes
+    its parser as `spec`: it has no default, and the parser reads the value.
     """
     value = getattr(args, key, None)
     if value is None:
@@ -109,9 +110,18 @@ def _setting(args, scenario, section, key, spec):
             raise DomainError(f"{args.command} needs {key!r}")
         return spec
     try:
-        return (spec if callable(spec) else type(spec))(value)
+        return spec(value) if callable(spec) else _coerce(value, type(spec))
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"bad {section} setting {key!r}: {exc}") from None
+
+
+def _coerce(value, kind):
+    """`value` as a `kind` (int or float), refusing what would be silently truncated."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return kind(value)
 
 
 def _settings(args, scenario, section, **defaults):

@@ -359,11 +359,14 @@ def sample_ball(n: int, radius: float, seed: int = 0) -> np.ndarray:
     )
 
 
-def _check_sampling(radius: float, n_samples: int):
+def _check_sampling(radius: float, n_samples: int, seed: int):
     if not 0.0 <= radius < 1.0:
         raise DomainError(f"radius must lie in [0, 1), got {radius}")
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1 to sample the ball, got {n_samples}")
+    if seed < 0:
+        # a negative seed starts the Halton block at an index <= 0, where every point is 0
+        raise DomainError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -388,7 +391,7 @@ def check_strict_hyperbolicity(
 
     Passes iff both gaps are strictly positive on every sample.
     """
-    _check_sampling(radius, n_samples)
+    _check_sampling(radius, n_samples, seed)
     U = sample_ball(n_samples, radius, seed)
     lam, ok = eigenvalues_batch(U, params)
     gap12 = lam[:, 1] - lam[:, 0]
@@ -405,7 +408,7 @@ def check_strict_hyperbolicity(
         lambda2_range=(float(lam[:, 1].min()), float(lam[:, 1].max())),
         lambda3_range=(float(lam[:, 2].min()), float(lam[:, 2].max())),
         all_real=all_real,
-        passed=all_real and gap12.min() > 0.0 and gap23.min() > 0.0,
+        passed=bool(all_real and gap12.min() > 0.0 and gap23.min() > 0.0),
     )
 
 
@@ -443,7 +446,7 @@ def check_genuine_nonlinearity(
     values bounded away from zero *below*.  At eta = 0 families 1 and 3 are
     linearly degenerate and are reported as such.
     """
-    _check_sampling(radius, n_samples)
+    _check_sampling(radius, n_samples, seed)
     U = sample_ball(n_samples, radius, seed)
     n = len(U)
     u, v = U[:, 0], U[:, 1]

@@ -15,15 +15,19 @@ the two waves pass through each other with unchanged strengths.  Since
 lambda_1 depends only on alpha and lambda_3 only on beta, their speeds are
 unchanged in exact arithmetic as well.
 
-Besides the list of live fronts, a `TrackerState` keeps their left and right
-states as the rows of two (n, 3) arrays, which `observables` reads instead of
-gathering every state at every event.  `_splice` is the one place that
-changes the front list: `init_from_piecewise` and `resolve_collision` replace
-fronts and rows through it, so the two stay in step.  A hand-built state, a
-new list assigned to `st.fronts` or a change of its length makes the next
-reader rebuild the rows.  A front edited in place elsewhere, or one put in
-the list in place of another, is picked up only after `st.fronts` is
-assigned a new list.
+Besides the list of live fronts, a `TrackerState` keeps rows for them in the
+order of the list: their left and right states in two (n, 3) arrays, and in
+one (n, 8) array each front's birth_x, speed, birth_t, intercept
+birth_x - speed * birth_t, |right| (`np.linalg.norm`) and |right - left|.
+`next_collision` and `observables` read these rows instead of gathering them
+from every front at every event.  `_splice` is the one place that changes the
+front list: `init_from_piecewise` and `resolve_collision` replace fronts and
+rows through it, computing rows only for the new fronts, so an event costs
+O(k) Python work for k fronts in and out.  A hand-built state, a new list
+assigned to `st.fronts` or a change of its length makes the next reader
+rebuild all rows.  A front edited in place elsewhere, or one put in the list
+in place of another, is picked up only after `st.fronts` is assigned a new
+list.
 
 A standalone scalar tracker for the decoupled v-component (flux v^2) serves
 as an independent oracle: 2-shock speeds are v_left + v_right for every eta,
@@ -102,10 +106,14 @@ class TrackerState:
     dead_fronts: list = field(default_factory=list)
     truncated: bool = False
     _next_uid: int = 0
-    # rows of f.left and f.right for each front of `_rows_of`, kept by `_splice`
+    # rows of f.left, f.right and `_param_rows` for each front of `_rows_of`,
+    # kept by `_splice`
     _left_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
     _right_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _param_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
     _rows_of: list | None = field(default=None, repr=False, compare=False)
+    # (U_bg, model, F(U_bg), |U_bg|) for the boundary state and model it was computed for
+    _bg_terms: tuple | None = field(default=None, repr=False, compare=False)
 
     def new_uid(self) -> int:
         uid = self._next_uid
@@ -198,8 +206,8 @@ def init_from_piecewise(
     chain is exactly consistent with the input data.  A jump whose fan is
     empty (every wave at most TOL_ZERO) emits nothing, and the next fan
     starts from the last emitted state, so it absorbs the dropped jump.
-    The state rows of the fronts are built once, when the fronts are spliced
-    into the new state.
+    The rows of the fronts are built once, when the fronts are spliced into
+    the new state.
     """
     U_leftmost = as_state(U_leftmost)
     xs = [float(x) for x, _ in jumps]
@@ -248,8 +256,9 @@ def next_collision(st: TrackerState) -> CollisionCandidate | None:
     """Earliest upcoming collision, with hits within TOL_EVENT at one point merged.
 
     The meeting times of all neighbour pairs come from one array pass over
-    the speeds and the intercepts b = birth_x - speed * birth_t: a pair meets
-    at (b_right - b_left) / (speed_left - speed_right) if the left front is
+    the kept columns of the speeds and the intercepts
+    b = birth_x - speed * birth_t: a pair meets at
+    (b_right - b_left) / (speed_left - speed_right) if the left front is
     faster by more than SPEED_TIE_TOL, a meeting more than TOL_EVENT in the
     past is dropped, and one less than TOL_EVENT in the past happens now.
     Ties at distinct positions resolve left to right.  A candidate of just a
@@ -260,8 +269,8 @@ def next_collision(st: TrackerState) -> CollisionCandidate | None:
     fronts = st.fronts
     if len(fronts) < 2:
         return None
-    speed = np.array([f.speed for f in fronts])
-    intercept = np.array([f.birth_x - f.speed * f.birth_t for f in fronts])
+    rows = _front_rows(st)[2]
+    speed, intercept = rows[:, _SPEED], rows[:, _INTERCEPT]
     dv = speed[:-1] - speed[1:]
     times = np.divide(
         intercept[1:] - intercept[:-1], dv, out=np.full(len(dv), np.inf), where=dv > SPEED_TIE_TOL
@@ -331,7 +340,7 @@ def resolve_collision(st: TrackerState, candidate: CollisionCandidate) -> Tracke
     U_L + (U_R - U_M).  Every other collision is resolved by `solve_riemann`.
     In both cases the left state is kept and the right neighbour's left state
     stays exactly shared across the event.  The outgoing fronts and their
-    state rows replace the incoming ones through `_splice`.
+    rows replace the incoming ones through `_splice`.
     """
     incoming = [st.fronts[i] for i in candidate.indices]
     x, t = candidate.position, candidate.time
@@ -372,15 +381,45 @@ def _stacked(states: list) -> np.ndarray:
     return np.concatenate(states).reshape(-1, 3) if states else np.empty((0, 3))
 
 
+# columns of the per-front parameter rows
+_BIRTH_X, _SPEED, _BIRTH_T, _INTERCEPT, _NORM = range(5)
+_JUMP = slice(5, 8)
+
+
+def _params_of(fronts: list, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(n, 8) rows of birth_x, speed, birth_t, intercept, |right| and |right - left|.
+
+    `left` and `right` are the fronts' state rows.  Each value is the float
+    expression a loop over the fronts would take: the intercept is
+    birth_x - speed * birth_t and |right| is `np.linalg.norm` of the state.
+    """
+    rows = np.empty((len(fronts), 8))
+    rows[:, :5] = np.array(
+        [
+            (f.birth_x, f.speed, f.birth_t, f.birth_x - f.speed * f.birth_t,
+             float(np.linalg.norm(f.right)))
+            for f in fronts
+        ]
+    ).reshape(-1, 5)
+    rows[:, _JUMP] = np.abs(right - left)
+    return rows
+
+
+def _rows_for(fronts: list) -> tuple:
+    """(left, right, params): fresh rows for the fronts."""
+    left = _stacked([f.left for f in fronts])
+    right = _stacked([f.right for f in fronts])
+    return left, right, _params_of(fronts, left, right)
+
+
 def _rebuild_rows(st: TrackerState) -> None:
-    """Gather the state rows of every front of st.fronts afresh."""
-    st._left_rows = _stacked([f.left for f in st.fronts])
-    st._right_rows = _stacked([f.right for f in st.fronts])
+    """Compute the rows of every front of st.fronts afresh."""
+    st._left_rows, st._right_rows, st._param_rows = _rows_for(st.fronts)
     st._rows_of = st.fronts
 
 
 def _front_rows(st: TrackerState) -> tuple:
-    """(left, right): the states of st.fronts as the rows of two (n, 3) arrays.
+    """(left, right, params): the kept rows of st.fronts, (n, 3), (n, 3) and (n, 8).
 
     The rows are rebuilt if they were built for another list than st.fronts
     or for another length, as after a hand-built state or an assignment to
@@ -388,30 +427,38 @@ def _front_rows(st: TrackerState) -> tuple:
     """
     if st._rows_of is not st.fronts or len(st._left_rows) != len(st.fronts):
         _rebuild_rows(st)
-    return st._left_rows, st._right_rows
+    return st._left_rows, st._right_rows, st._param_rows
 
 
 def _splice(st: TrackerState, start: int, stop: int, new_fronts: list) -> None:
-    """Replace st.fronts[start:stop] with new_fronts, and their state rows with theirs.
+    """Replace st.fronts[start:stop] with new_fronts, and their rows with theirs.
 
-    The only code that changes the front list.  Each row array stays
-    C-contiguous and bit-equal to a fresh gather of the fronts' states.
+    The only code that changes the front list.  Rows are computed for the
+    new fronts only: their left and right states, and the parameter rows of
+    `_params_of`.  When as many fronts leave as arrive, as in a 1-3 crossing,
+    the new rows are written in place; otherwise each row array is
+    concatenated once.  Each row array stays C-contiguous and bit-equal to
+    the rows `_rebuild_rows` would compute.
     """
-    left, right = _front_rows(st)
+    kept = _front_rows(st)
+    new = _rows_for(new_fronts)
     if stop - start == len(new_fronts):
-        # as many fronts leave as arrive, as in a 1-3 crossing: the rows keep
-        # their places, and writing them costs a third of two concatenations
-        for k, f in enumerate(new_fronts, start):
-            left[k] = f.left
-            right[k] = f.right
+        for rows, block in zip(kept, new):
+            rows[start:stop] = block
     else:
-        st._left_rows = np.concatenate(
-            (left[:start], _stacked([f.left for f in new_fronts]), left[stop:])
-        )
-        st._right_rows = np.concatenate(
-            (right[:start], _stacked([f.right for f in new_fronts]), right[stop:])
+        st._left_rows, st._right_rows, st._param_rows = (
+            np.concatenate((rows[:start], block, rows[stop:])) for rows, block in zip(kept, new)
         )
     st.fronts[start:stop] = new_fronts
+
+
+def _background(st: TrackerState) -> tuple:
+    """(F(U_bg), |U_bg|), computed once per boundary state object and model."""
+    U_bg, model = st.left_boundary_state, st.params.model
+    bg = st._bg_terms
+    if bg is None or bg[0] is not U_bg or bg[1] is not model:
+        bg = st._bg_terms = (U_bg, model, flux_fn(U_bg, model), float(np.linalg.norm(U_bg)))
+    return bg[2], bg[3]
 
 
 def observables(st: TrackerState) -> ObservableRecord:
@@ -429,43 +476,35 @@ def observables(st: TrackerState) -> ObservableRecord:
     plain compact support is unattainable and the flux correction is what the
     conservation certification checks.)
 
-    The front states are read from the state rows that `init_from_piecewise`
+    Everything per front is read from the rows that `init_from_piecewise`
     and `resolve_collision` keep in step with st.fronts (see `_front_rows`
-    for when they are rebuilt), the positions are gathered once, and every
-    sum is an axis-0 reduction, which adds the rows in order from +0.0 as a
-    loop over the fronts would.  |U| is computed per state by
-    `np.linalg.norm`, whose dot product may round differently from a
-    vectorized sum of squares, so the vectorized norms only pick the rows
-    within 1e-14 of the largest and the maximum is taken over their exact
-    norms.
+    for when they are rebuilt): the positions from the birth_x, speed and
+    birth_t columns, the total variation as the axis-0 sum of the
+    |right - left| columns, max |U| as the maximum of the |right| column, and
+    the hull integral from the right-state rows.  Every sum is an axis-0
+    reduction, which adds the rows in order from +0.0 as a loop over the
+    fronts would, and the maximum does not depend on the order.  F(U_bg) and
+    |U_bg| are computed once per boundary state (`_background`).
     """
     U_bg = st.left_boundary_state
-    fronts = st.fronts
-    left, right = _front_rows(st)
-    xs = _position(
-        np.array([f.birth_x for f in fronts]),
-        np.array([f.speed for f in fronts]),
-        np.array([f.birth_t for f in fronts]),
-        st.time,
-    )
-    tv = np.abs(right - left).sum(axis=0)
-    integrals = (np.diff(xs)[:, None] * (right[:-1] - U_bg)).sum(axis=0)
-    max_norm = float(np.linalg.norm(U_bg))
+    _, right, rows = _front_rows(st)
+    flux_bg, max_norm = _background(st)
+    xs = _position(rows[:, _BIRTH_X], rows[:, _SPEED], rows[:, _BIRTH_T], st.time)
+    tv = rows[:, _JUMP].sum(axis=0)
+    integrals = ((xs[1:] - xs[:-1])[:, None] * (right[:-1] - U_bg)).sum(axis=0)
     balance = integrals
-    if fronts:
-        approx = np.sqrt((right * right).sum(axis=1))
-        near = np.flatnonzero(approx >= approx.max() * (1.0 - 1e-14))
-        max_norm = max(max_norm, *(float(np.linalg.norm(right[k])) for k in near))
-        U_far = fronts[-1].right
+    if st.fronts:
+        max_norm = max(max_norm, float(rows[:, _NORM].max()))
+        U_far = st.fronts[-1].right
         balance = (
             integrals
             - xs[-1] * (U_far - U_bg)
-            + st.time * (flux_fn(U_far, st.params.model) - flux_fn(U_bg, st.params.model))
+            + st.time * (flux_fn(U_far, st.params.model) - flux_bg)
         )
     return ObservableRecord(
         time=st.time,
         n_events=len(st.event_log),
-        n_fronts=len(fronts),
+        n_fronts=len(st.fronts),
         total_variation=tuple(tv),
         max_state_norm=max_norm,
         integrals=tuple(integrals),

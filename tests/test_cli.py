@@ -387,6 +387,38 @@ def test_malformed_scenario_exits_1_naming_the_key(tmp_path, capsys, command, do
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("suite", ["hyperbolicity", "gnl"])
+def test_verify_negative_seed_exits_1(capsys, suite):
+    assert run_cli("verify", suite, "--seed", "-1", "--samples", "5") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be >= 0, got -1\n" and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("verify", {"verify": {"which": "hyperbolicity", "seed": 1.5}},
+         "error: bad verify setting 'seed': expected an integer, got 1.5\n"),
+        ("riemann", {"riemann": {"ul": [0.1, 0, 0], "ur": [0.2, 0, 0], "sample": True}},
+         "error: bad riemann setting 'sample': expected a number, got True\n"),
+    ],
+)
+def test_integer_setting_is_not_truncated(tmp_path, capsys, command, doc, message):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert run_cli(command, "--scenario", str(scenario)) == 1
+    assert capsys.readouterr().err == message
+
+
+def test_integral_float_setting_is_accepted(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"verify": {"which": "hyperbolicity", "seed": 2.0, "samples": 5.0}}))
+    assert run_cli("verify", "--scenario", str(scenario), "--format", "json") == 0
+    doc, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    (record,) = doc["records"]
+    assert (record["seed"], record["n_samples"]) == (2, 5)
+
+
 def test_riemann_sample_flag_zero_overrides_the_scenario(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     doc = {"riemann": {"ul": [0.1, 0, 0], "ur": [0.2, 0, 0], "sample": 4}}

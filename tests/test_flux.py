@@ -184,6 +184,15 @@ def test_hyperbolicity_radius_validation():
         fx.check_strict_hyperbolicity(ModelParams(0.0), radius=1.0)
 
 
+@pytest.mark.parametrize("check", [fx.check_strict_hyperbolicity, fx.check_genuine_nonlinearity])
+def test_ball_probes_reject_a_negative_seed(check):
+    # a negative seed would start the Halton block at an index <= 0: only the origin
+    assert not np.any(fx.sample_ball(4, 0.9, seed=-1))
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        check(ModelParams(0.1), n_samples=4, seed=-1)
+    assert check(ModelParams(0.1), n_samples=4, seed=0).seed == 0
+
+
 def test_genuine_nonlinearity_eta_positive():
     report = fx.check_genuine_nonlinearity(ModelParams(0.1), radius=0.5, n_samples=1000)
     assert report.passed

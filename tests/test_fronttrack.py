@@ -576,13 +576,32 @@ def test_observables_equal_the_loop_at_a_single_jump(x):
     assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
 
 
-def _assert_rows_fresh(st):
-    """The kept state rows are C-contiguous and equal fresh gathers bit for bit."""
+def _assert_rows_fresh(st, norms=None):
+    """The kept rows are C-contiguous and equal fresh gathers bit for bit.
+
+    `norms` may carry |f.right| by front id from earlier calls on the same
+    run: a front never changes once spliced in, and st.dead_fronts keeps
+    every front of the run alive, so no id is reused.
+    """
     assert st._rows_of is st.fronts
+    fresh = {}
     for rows, side in ((st._left_rows, "left"), (st._right_rows, "right")):
-        fresh = ft._stacked([getattr(f, side) for f in st.fronts])
-        assert rows.flags.c_contiguous and rows.shape == fresh.shape
-        assert rows.tobytes() == fresh.tobytes()
+        fresh[side] = ft._stacked([getattr(f, side) for f in st.fronts])
+        assert rows.flags.c_contiguous and rows.shape == fresh[side].shape
+        assert rows.tobytes() == fresh[side].tobytes()
+    # birth_x, speed, birth_t, intercept, |right| and |right - left|, from each front
+    norms = {} if norms is None else norms
+    for f in st.fronts:
+        if id(f) not in norms:
+            norms[id(f)] = float(np.linalg.norm(f.right))
+    params = np.column_stack((
+        np.array([(f.birth_x, f.speed, f.birth_t, f.birth_x - f.speed * f.birth_t)
+                  for f in st.fronts]).reshape(-1, 4),
+        [norms[id(f)] for f in st.fronts],
+        np.abs(fresh["right"] - fresh["left"]),
+    ))
+    assert st._param_rows.flags.c_contiguous and st._param_rows.shape == params.shape
+    assert st._param_rows.tobytes() == params.tobytes()
 
 
 def _count_rebuilds(monkeypatch):
@@ -604,11 +623,12 @@ def test_state_rows_equal_fresh_gathers_after_every_event(monkeypatch, run, n_ev
         st = ft.init_from_piecewise(jumps, U0, params)
     else:
         st = _rarefaction_run()
-    _assert_rows_fresh(st)
+    norms = {}
+    _assert_rows_fresh(st, norms)
     rebuilds = _count_rebuilds(monkeypatch)
     for _ in range(n_events):
         ft.resolve_collision(st, ft.next_collision(st))
-        _assert_rows_fresh(st)
+        _assert_rows_fresh(st, norms)
     ft.observables(st)
     assert rebuilds == []
 
@@ -661,6 +681,19 @@ def test_observables_after_fronts_are_reassigned(monkeypatch):
         assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
         _assert_rows_fresh(st)
     assert len(rebuilds) == 3
+
+
+def test_observables_after_the_boundary_state_is_reassigned():
+    jumps, U0, params = _shock_run()
+    st = ft.init_from_piecewise(jumps, U0, params)
+    for _ in range(30):
+        ft.resolve_collision(st, ft.next_collision(st))
+    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    # F(U_bg) and |U_bg| are kept for the boundary state object they were computed for
+    st.left_boundary_state = U0 + np.array([0.01, -0.02, 0.03])
+    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    st.params = ft.TrackerParams(model=ModelParams(0.05))
+    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
 
 
 def test_observables_after_a_cancellation_between_other_fronts():

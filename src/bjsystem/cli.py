@@ -390,7 +390,7 @@ def _verify_contraction(cfg, params):
     all_ok = True
     for i, sc in enumerate(ia.sample_scenarios_12(cfg.samples, eta=params.eta, seed=cfg.seed)):
         result = ia.contraction_solve_12(sc)
-        ok = result.contraction_ratio <= 0.5
+        ok = result.contraction_ratio <= ia.CONTRACTION_RATIO_MAX
         all_ok = all_ok and ok
         records.append(
             {

@@ -359,14 +359,24 @@ def sample_ball(n: int, radius: float, seed: int = 0) -> np.ndarray:
     )
 
 
+def check_count_and_seed(n_samples: int, seed: int):
+    """Reject a sampled check of nothing, and a negative seed.
+
+    A check over no samples would pass vacuously.  A negative seed starts the
+    Halton block at an index <= 0, where every point is 0, and is refused by
+    `np.random.default_rng` with a message that names neither the setting nor
+    the value.
+    """
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+
+
 def _check_sampling(radius: float, n_samples: int, seed: int):
     if not 0.0 <= radius < 1.0:
         raise DomainError(f"radius must lie in [0, 1), got {radius}")
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1 to sample the ball, got {n_samples}")
-    if seed < 0:
-        # a negative seed starts the Halton block at an index <= 0, where every point is 0
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    check_count_and_seed(n_samples, seed)
 
 
 @dataclass(frozen=True)

@@ -15,19 +15,21 @@ the two waves pass through each other with unchanged strengths.  Since
 lambda_1 depends only on alpha and lambda_3 only on beta, their speeds are
 unchanged in exact arithmetic as well.
 
-Besides the list of live fronts, a `TrackerState` keeps rows for them in the
-order of the list: their left and right states in two (n, 3) arrays, and in
-one (n, 8) array each front's birth_x, speed, birth_t, intercept
-birth_x - speed * birth_t, |right| (`np.linalg.norm`) and |right - left|.
-`next_collision` and `observables` read these rows instead of gathering them
-from every front at every event.  `_splice` is the one place that changes the
-front list: `init_from_piecewise` and `resolve_collision` replace fronts and
-rows through it, computing rows only for the new fronts, so an event costs
-O(k) Python work for k fronts in and out.  A hand-built state, a new list
+Besides the list of live fronts, a `TrackerState` keeps one C-contiguous
+(n, 14) float block of rows for them, `_rows`, in the order of the list.
+The columns of a front's row are its left state (0:3), its right state
+(3:6), birth_x, speed, birth_t, the intercept birth_x - speed * birth_t,
+|right| (`np.linalg.norm`) and |right - left| (11:14); the column constants
+below are the only code that knows this layout.  `next_collision` and
+`observables` read the block instead of gathering from every front at every
+event.  `_splice` is the one place that changes the front list:
+`init_from_piecewise` and `resolve_collision` replace fronts and rows
+through it, computing rows only for the new fronts, so an event costs O(k)
+Python work for k fronts in and out.  A hand-built state, a new list
 assigned to `st.fronts` or a change of its length makes the next reader
-rebuild all rows.  A front edited in place elsewhere, or one put in the list
-in place of another, is picked up only after `st.fronts` is assigned a new
-list.
+rebuild the block.  A front edited in place elsewhere, or one put in the
+list in place of another, is picked up only after `st.fronts` is assigned a
+new list.
 
 A standalone scalar tracker for the decoupled v-component (flux v^2) serves
 as an independent oracle: 2-shock speeds are v_left + v_right for every eta,
@@ -106,11 +108,8 @@ class TrackerState:
     dead_fronts: list = field(default_factory=list)
     truncated: bool = False
     _next_uid: int = 0
-    # rows of f.left, f.right and `_param_rows` for each front of `_rows_of`,
-    # kept by `_splice`
-    _left_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _right_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _param_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # the (n, 14) row block of `_rows_for` for the fronts of `_rows_of`, kept by `_splice`
+    _rows: np.ndarray | None = field(default=None, repr=False, compare=False)
     _rows_of: list | None = field(default=None, repr=False, compare=False)
     # (U_bg, model, F(U_bg), |U_bg|) for the boundary state and model it was computed for
     _bg_terms: tuple | None = field(default=None, repr=False, compare=False)
@@ -269,7 +268,7 @@ def next_collision(st: TrackerState) -> CollisionCandidate | None:
     fronts = st.fronts
     if len(fronts) < 2:
         return None
-    rows = _front_rows(st)[2]
+    rows = _front_rows(st)
     speed, intercept = rows[:, _SPEED], rows[:, _INTERCEPT]
     dv = speed[:-1] - speed[1:]
     times = np.divide(
@@ -376,79 +375,64 @@ def resolve_collision(st: TrackerState, candidate: CollisionCandidate) -> Tracke
     return st
 
 
-def _stacked(states: list) -> np.ndarray:
-    """The (3,) states as the rows of an (n, 3) array, copied once."""
-    return np.concatenate(states).reshape(-1, 3) if states else np.empty((0, 3))
+# columns of a front's row in `TrackerState._rows`
+_LEFT, _RIGHT = slice(0, 3), slice(3, 6)
+_BIRTH_X, _SPEED, _BIRTH_T, _INTERCEPT, _NORM = range(6, 11)
+_JUMP = slice(11, 14)
+_N_COLS = 14
 
 
-# columns of the per-front parameter rows
-_BIRTH_X, _SPEED, _BIRTH_T, _INTERCEPT, _NORM = range(5)
-_JUMP = slice(5, 8)
+def _rows_for(fronts: list) -> np.ndarray:
+    """(n, 14) rows for the fronts, in the columns above.
 
-
-def _params_of(fronts: list, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(n, 8) rows of birth_x, speed, birth_t, intercept, |right| and |right - left|.
-
-    `left` and `right` are the fronts' state rows.  Each value is the float
-    expression a loop over the fronts would take: the intercept is
-    birth_x - speed * birth_t and |right| is `np.linalg.norm` of the state.
+    Each value is the float expression a loop over the fronts would take:
+    the intercept is birth_x - speed * birth_t, |right| is `np.linalg.norm`
+    of the state, and |right - left| is taken from the state columns.
     """
-    rows = np.empty((len(fronts), 8))
-    rows[:, :5] = np.array(
+    rows = np.array(
         [
-            (f.birth_x, f.speed, f.birth_t, f.birth_x - f.speed * f.birth_t,
-             float(np.linalg.norm(f.right)))
+            (*f.left.tolist(), *f.right.tolist(), f.birth_x, f.speed, f.birth_t,
+             f.birth_x - f.speed * f.birth_t, float(np.linalg.norm(f.right)), 0.0, 0.0, 0.0)
             for f in fronts
-        ]
-    ).reshape(-1, 5)
-    rows[:, _JUMP] = np.abs(right - left)
+        ],
+        dtype=float,
+    ).reshape(-1, _N_COLS)
+    rows[:, _JUMP] = np.abs(rows[:, _RIGHT] - rows[:, _LEFT])
     return rows
 
 
-def _rows_for(fronts: list) -> tuple:
-    """(left, right, params): fresh rows for the fronts."""
-    left = _stacked([f.left for f in fronts])
-    right = _stacked([f.right for f in fronts])
-    return left, right, _params_of(fronts, left, right)
-
-
 def _rebuild_rows(st: TrackerState) -> None:
-    """Compute the rows of every front of st.fronts afresh."""
-    st._left_rows, st._right_rows, st._param_rows = _rows_for(st.fronts)
-    st._rows_of = st.fronts
+    """Compute the row block of st.fronts afresh."""
+    st._rows, st._rows_of = _rows_for(st.fronts), st.fronts
 
 
-def _front_rows(st: TrackerState) -> tuple:
-    """(left, right, params): the kept rows of st.fronts, (n, 3), (n, 3) and (n, 8).
+def _front_rows(st: TrackerState) -> np.ndarray:
+    """The kept (n, 14) row block of st.fronts, in the columns of `_rows_for`.
 
-    The rows are rebuilt if they were built for another list than st.fronts
-    or for another length, as after a hand-built state or an assignment to
+    The block is rebuilt if it was built for another list than st.fronts or
+    for another length, as after a hand-built state or an assignment to
     st.fronts.
     """
-    if st._rows_of is not st.fronts or len(st._left_rows) != len(st.fronts):
+    if st._rows_of is not st.fronts or len(st._rows) != len(st.fronts):
         _rebuild_rows(st)
-    return st._left_rows, st._right_rows, st._param_rows
+    return st._rows
 
 
 def _splice(st: TrackerState, start: int, stop: int, new_fronts: list) -> None:
     """Replace st.fronts[start:stop] with new_fronts, and their rows with theirs.
 
     The only code that changes the front list.  Rows are computed for the
-    new fronts only: their left and right states, and the parameter rows of
-    `_params_of`.  When as many fronts leave as arrive, as in a 1-3 crossing,
-    the new rows are written in place; otherwise each row array is
-    concatenated once.  Each row array stays C-contiguous and bit-equal to
-    the rows `_rebuild_rows` would compute.
+    new fronts only, by `_rows_for`.  When as many fronts leave as arrive,
+    as in a 1-3 crossing, the new rows are written into the block in place;
+    otherwise the block is concatenated once.  It stays C-contiguous and
+    bit-equal to the block `_rebuild_rows` would compute.
     """
-    kept = _front_rows(st)
+    rows = _front_rows(st)
     new = _rows_for(new_fronts)
     if stop - start == len(new_fronts):
-        for rows, block in zip(kept, new):
-            rows[start:stop] = block
+        rows[start:stop] = new
     else:
-        st._left_rows, st._right_rows, st._param_rows = (
-            np.concatenate((rows[:start], block, rows[stop:])) for rows, block in zip(kept, new)
-        )
+        st._rows = np.concatenate((rows[:start], new, rows[stop:]))
     st.fronts[start:stop] = new_fronts
 
 
@@ -476,22 +460,23 @@ def observables(st: TrackerState) -> ObservableRecord:
     plain compact support is unattainable and the flux correction is what the
     conservation certification checks.)
 
-    Everything per front is read from the rows that `init_from_piecewise`
-    and `resolve_collision` keep in step with st.fronts (see `_front_rows`
-    for when they are rebuilt): the positions from the birth_x, speed and
-    birth_t columns, the total variation as the axis-0 sum of the
-    |right - left| columns, max |U| as the maximum of the |right| column, and
-    the hull integral from the right-state rows.  Every sum is an axis-0
-    reduction, which adds the rows in order from +0.0 as a loop over the
-    fronts would, and the maximum does not depend on the order.  F(U_bg) and
-    |U_bg| are computed once per boundary state (`_background`).
+    Everything per front is read from the row block that
+    `init_from_piecewise` and `resolve_collision` keep in step with
+    st.fronts (see `_front_rows` for when it is rebuilt): the positions from
+    the birth_x, speed and birth_t columns, the total variation as the
+    axis-0 sum of the |right - left| columns, max |U| as the maximum of the
+    |right| column, and the hull integral from the right-state columns.
+    Every sum is an axis-0 reduction, which adds the rows in order from +0.0
+    as a loop over the fronts would, and the maximum does not depend on the
+    order.  F(U_bg) and |U_bg| are computed once per boundary state
+    (`_background`).
     """
     U_bg = st.left_boundary_state
-    _, right, rows = _front_rows(st)
+    rows = _front_rows(st)
     flux_bg, max_norm = _background(st)
     xs = _position(rows[:, _BIRTH_X], rows[:, _SPEED], rows[:, _BIRTH_T], st.time)
     tv = rows[:, _JUMP].sum(axis=0)
-    integrals = ((xs[1:] - xs[:-1])[:, None] * (right[:-1] - U_bg)).sum(axis=0)
+    integrals = ((xs[1:] - xs[:-1])[:, None] * (rows[:-1, _RIGHT] - U_bg)).sum(axis=0)
     balance = integrals
     if st.fronts:
         max_norm = max(max_norm, float(rows[:, _NORM].max()))

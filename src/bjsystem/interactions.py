@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ContractionError, DomainError
 from . import wavecurves as wc
-from .flux import ETA_MAX, ModelParams, as_state, p1, p3
+from .flux import ETA_MAX, ModelParams, as_state, check_count_and_seed, p1, p3
 from .riemann import RiemannFan, solve_riemann
 
 DEFAULT_EPS_22 = 1e-2
@@ -38,6 +38,8 @@ TAYLOR_POINTS_PER_SCALE = 5
 CONTRACTION_TOL = 1e-14
 CONTRACTION_MAX_ITER = 200
 ORACLE_AGREEMENT_TOL = 1e-9
+# the largest contraction ratio a 1-2 contraction check passes with
+CONTRACTION_RATIO_MAX = 0.5
 
 G_CUBIC_TARGET = np.array([[4.0, 3.0], [2.0, 3.0]]) / 32.0
 
@@ -173,6 +175,7 @@ def sample_scenarios_22(
     outer strengths scale like s1 s2 (s1 + s2), so strengths below roughly
     1e-4 push the certified signs under the double-precision solver noise.
     """
+    check_count_and_seed(n, seed)
     rng = np.random.default_rng(seed)
     box = eps * a
     out = []
@@ -492,12 +495,13 @@ class Bounds12Record:
             self.report.passed
             and self.report.pattern == "SSS"
             and self.oracle_agreement <= ORACLE_AGREEMENT_TOL
-            and self.contraction.contraction_ratio <= 0.5
+            and self.contraction.contraction_ratio <= CONTRACTION_RATIO_MAX
         )
 
 
 def sample_scenarios_12(n: int, eta: float = DEFAULT_ETA_12, seed: int = 0) -> list:
     """Seeded scenarios in the 1-2 hypothesis box |Ul| < 1/2, s, sigma in (-1/4, 0)."""
+    check_count_and_seed(n, seed)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):

@@ -266,11 +266,13 @@ def test_scenario_rejects_unknown_section_keys(tmp_path, capsys):
 
 
 def test_verify_ball_suites_reject_zero_samples(capsys):
-    for suite in ("hyperbolicity", "gnl"):
-        code = run_cli("verify", suite, "--samples", "0")
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: n_samples must be >= 1")
+    for suite in ("hyperbolicity", "gnl", "bounds12", "pattern22", "contraction"):
+        for samples in ("0", "-3"):
+            code = run_cli("verify", suite, "--samples", samples)
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: n_samples must be >= 1")
+            assert "PASS" not in captured.out
 
 
 def test_verify_hugoniot_checks_the_requested_eta(tmp_path, monkeypatch, capsys):
@@ -387,7 +389,9 @@ def test_malformed_scenario_exits_1_naming_the_key(tmp_path, capsys, command, do
     assert err.startswith("error: ") and named in err
 
 
-@pytest.mark.parametrize("suite", ["hyperbolicity", "gnl"])
+@pytest.mark.parametrize(
+    "suite", ["hyperbolicity", "gnl", "bounds12", "pattern22", "contraction"]
+)
 def test_verify_negative_seed_exits_1(capsys, suite):
     assert run_cli("verify", suite, "--seed", "-1", "--samples", "5") == 1
     captured = capsys.readouterr()

@@ -577,31 +577,26 @@ def test_observables_equal_the_loop_at_a_single_jump(x):
 
 
 def _assert_rows_fresh(st, norms=None):
-    """The kept rows are C-contiguous and equal fresh gathers bit for bit.
+    """The kept row block is C-contiguous and bit-equal to rows made afresh from each front.
 
-    `norms` may carry |f.right| by front id from earlier calls on the same
-    run: a front never changes once spliced in, and st.dead_fronts keeps
-    every front of the run alive, so no id is reused.
+    A front's row is left, right, birth_x, speed, birth_t, the intercept
+    birth_x - speed * birth_t, |right| and |right - left|.  `norms` may carry
+    |f.right| by front id from earlier calls on the same run: a front never
+    changes once spliced in, and st.dead_fronts keeps every front of the run
+    alive, so no id is reused.
     """
     assert st._rows_of is st.fronts
-    fresh = {}
-    for rows, side in ((st._left_rows, "left"), (st._right_rows, "right")):
-        fresh[side] = ft._stacked([getattr(f, side) for f in st.fronts])
-        assert rows.flags.c_contiguous and rows.shape == fresh[side].shape
-        assert rows.tobytes() == fresh[side].tobytes()
-    # birth_x, speed, birth_t, intercept, |right| and |right - left|, from each front
     norms = {} if norms is None else norms
     for f in st.fronts:
         if id(f) not in norms:
             norms[id(f)] = float(np.linalg.norm(f.right))
-    params = np.column_stack((
-        np.array([(f.birth_x, f.speed, f.birth_t, f.birth_x - f.speed * f.birth_t)
-                  for f in st.fronts]).reshape(-1, 4),
-        [norms[id(f)] for f in st.fronts],
-        np.abs(fresh["right"] - fresh["left"]),
-    ))
-    assert st._param_rows.flags.c_contiguous and st._param_rows.shape == params.shape
-    assert st._param_rows.tobytes() == params.tobytes()
+    left = np.array([f.left for f in st.fronts]).reshape(-1, 3)
+    right = np.array([f.right for f in st.fronts]).reshape(-1, 3)
+    line = np.array([(f.birth_x, f.speed, f.birth_t, f.birth_x - f.speed * f.birth_t, norms[id(f)])
+                     for f in st.fronts]).reshape(-1, 5)
+    fresh = np.column_stack((left, right, line, np.abs(right - left)))
+    assert st._rows.flags.c_contiguous and st._rows.shape == fresh.shape
+    assert st._rows.tobytes() == fresh.tobytes()
 
 
 def _count_rebuilds(monkeypatch):

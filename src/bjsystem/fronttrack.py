@@ -45,7 +45,7 @@ from .errors import ConvergenceError, DomainError, HyperbolicityError, TrackerEv
 from . import wavecurves as wc
 from .flux import ModelParams, as_state, eigenvalues
 from .flux import flux as flux_fn
-from .riemann import RAREFACTION, _make_wave, solve_riemann
+from .riemann import RAREFACTION, Wave, _make_wave, solve_riemann
 
 DELTA_DEFAULT = 1e-3
 MAX_EVENTS = 10000
@@ -156,38 +156,41 @@ def _front(st: TrackerState, wave, x: float, t: float) -> Front:
 def _emit_fronts(st: TrackerState, wave, x: float, t: float) -> list:
     """Turn one fan wave into fronts born at (x, t).
 
-    A rarefaction is split into ceil(|s| / delta) pieces of equal strength.
-    Each piece is integrated from the right state of the piece before it, and
-    the last piece ends on `wave.right` exactly.
+    A rarefaction is split into ceil(|s| / delta) pieces of equal strength,
+    each a `Wave` whose speed interval is the family's eigenvalue at its two
+    edges.  Each piece is integrated from the right state of the piece before
+    it, and the last piece ends on `wave.right` exactly.  The two outer
+    edges reuse the speeds the wave carries, so eigenvalues are computed at
+    the interior edges only.
     """
     if wave.kind != RAREFACTION:
         return [_front(st, wave, x, t)]
+    fam, model = wave.family, st.params.model
     n_pieces = max(1, int(np.ceil(abs(wave.strength) / st.params.delta)))
     piece = wave.strength / n_pieces
-    model = st.params.model
     fronts = []
-    left = wave.left
+    left, lam_left = wave.left, wave.speed[0]
     for k in range(1, n_pieces + 1):
-        right = (
-            wave.right
-            if k == n_pieces
-            else wc.rarefaction(wave.family, left, piece, model).state
-        )
-        speed = float(eigenvalues(left, model)[wave.family - 1])
-        fronts.append(
-            Front(
-                uid=st.new_uid(),
-                family=wave.family,
-                kind=wave.kind,
-                strength=piece,
-                left=left,
-                right=right,
-                speed=speed,
-                birth_x=x,
-                birth_t=t,
-            )
-        )
-        left = right
+        if k == n_pieces:
+            right, lam_right = wave.right, wave.speed[1]
+        else:
+            right = wc.rarefaction(fam, left, piece, model).state
+            lam_right = float(eigenvalues(right, model)[fam - 1])
+        piece_wave = Wave(fam, wave.kind, piece, left, right, (lam_left, lam_right))
+        fronts.append(_front(st, piece_wave, x, t))
+        left, lam_left = right, lam_right
+    return fronts
+
+
+def _fan_fronts(st: TrackerState, fan, U_right, x: float, t: float) -> list:
+    """The fronts of every wave of `fan`, born at (x, t), the last ending on U_right.
+
+    Pinning the outermost state keeps the front chain exact: the solver
+    residual (~1e-16) moves into the last jump.
+    """
+    fronts = [f for wave in fan.waves for f in _emit_fronts(st, wave, x, t)]
+    if fronts:
+        fronts[-1].right = U_right
     return fronts
 
 
@@ -230,13 +233,8 @@ def init_from_piecewise(
                 iterate=exc.iterate,
                 residual=exc.residual,
             ) from exc
-        new_fronts = []
-        for wave in fan.waves:
-            new_fronts.extend(_emit_fronts(st, wave, float(x), 0.0))
+        new_fronts = _fan_fronts(st, fan, U, float(x), 0.0)
         if new_fronts:
-            # pin the outermost state to the given datum so the front chain
-            # is exact; the solver residual (~1e-16) moves into the last jump
-            new_fronts[-1].right = U
             current = U
         fronts.extend(new_fronts)
     _splice(st, 0, 0, fronts)
@@ -348,12 +346,7 @@ def resolve_collision(st: TrackerState, candidate: CollisionCandidate) -> Tracke
     else:
         U_right = incoming[-1].right
         fan = solve_riemann(incoming[0].left, U_right, st.params.model)
-        new_fronts = []
-        for wave in fan.waves:
-            new_fronts.extend(_emit_fronts(st, wave, x, t))
-        if new_fronts:
-            # keep the right neighbor's left state exactly shared across the event
-            new_fronts[-1].right = U_right
+        new_fronts = _fan_fronts(st, fan, U_right, x, t)
     for f in incoming:
         f.death_t = candidate.time
     st.dead_fronts.extend(incoming)
@@ -508,6 +501,8 @@ def run(st: TrackerState, t_end: float, max_events: int = MAX_EVENTS):
     """
     if t_end <= st.time:
         raise DomainError(f"t_end must exceed the current time {st.time}, got {t_end}")
+    if max_events < 0:
+        raise DomainError(f"max_events must be >= 0, got {max_events}")
     series = [observables(st)]
     while True:
         if len(st.event_log) >= max_events:

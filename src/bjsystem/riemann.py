@@ -238,34 +238,26 @@ def check_fan(fan: RiemannFan, params: ModelParams) -> FanDiagnostics:
     diags = []
     ok = True
     for wave in fan.waves:
-        kind_expected = classify(wave.family, wave.strength, params)
-        kind_consistent = wave.kind == kind_expected
+        kind_consistent = wave.kind == classify(wave.family, wave.strength, params)
+        rh = lax = increasing = None
         if wave.kind == RAREFACTION:
             lam_l, lam_r = wave.speed
             increasing = lam_r - lam_l >= 0.0
-            diag = WaveDiagnostics(
-                family=wave.family,
-                kind=wave.kind,
-                strength=wave.strength,
-                rh_residual=None,
-                lax=None,
-                interval_increasing=increasing,
-                kind_consistent=kind_consistent,
-            )
-            ok = ok and increasing and kind_consistent
+            wave_ok = increasing
         else:
             lax = wc.lax_admissible(wave.family, wave.left, wave.right, wave.speed, params)
-            diag = WaveDiagnostics(
-                family=wave.family,
-                kind=wave.kind,
-                strength=wave.strength,
-                rh_residual=wc.rh_residual(wave.left, wave.right, wave.speed, params),
-                lax=lax,
-                interval_increasing=None,
-                kind_consistent=kind_consistent,
-            )
-            ok = ok and lax.admissible and kind_consistent
-        diags.append(diag)
+            rh = wc.rh_residual(wave.left, wave.right, wave.speed, params)
+            wave_ok = lax.admissible
+        ok = ok and wave_ok and kind_consistent
+        diags.append(WaveDiagnostics(
+            family=wave.family,
+            kind=wave.kind,
+            strength=wave.strength,
+            rh_residual=rh,
+            lax=lax,
+            interval_increasing=increasing,
+            kind_consistent=kind_consistent,
+        ))
 
     speeds_ordered = all(
         fan.waves[i].max_speed < fan.waves[i + 1].min_speed for i in range(len(fan.waves) - 1)

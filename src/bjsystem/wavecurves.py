@@ -70,6 +70,11 @@ def r3_direction(v: float) -> np.ndarray:
     return np.array([1.0, 0.0, v - 2.0])
 
 
+def _line_point(fam: int, base: np.ndarray, s: float) -> np.ndarray:
+    """The state at parameter s on the straight family-1 or family-3 line through base."""
+    return base + s * (r1_direction(base[1]) if fam == 1 else r3_direction(base[1]))
+
+
 def _check_family(fam: int):
     if fam not in (1, 2, 3):
         raise DomainError(f"wave family must be 1, 2 or 3, got {fam!r}")
@@ -129,8 +134,7 @@ def hugoniot2_closed_form(base, s: float) -> CurvePoint:
 
 
 def _hugoniot2_newton(base, s, params):
-    """Family-2 RH solve for eta > 0: unknowns (u, w, gamma), v pinned to vb + s."""
-    base = as_state(base)
+    """Family-2 RH solve for eta > 0 from a state array: unknowns (u, w, gamma), v pinned."""
     v_new = base[1] + s
     try:
         uw = base[[0, 2]] + hugoniot_matrix(base[1], s) @ base[[0, 2]]
@@ -194,8 +198,7 @@ def hugoniot(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
         if params.eta == 0.0:
             return hugoniot2_closed_form(base, s)
         return _hugoniot2_newton(base, s, params)
-    direction = r1_direction(base[1]) if fam == 1 else r3_direction(base[1])
-    state = base + s * direction
+    state = _line_point(fam, base, s)
     # lambda_fam is affine along its straight line: the shock speed is the mean
     speed = 0.5 * float(eigenvalues(base, params)[fam - 1] + eigenvalues(state, params)[fam - 1])
     return CurvePoint(
@@ -290,8 +293,7 @@ def rarefaction(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
     if s == 0.0:
         return CurvePoint(state=base.copy(), speed=float(eigenvalues(base, params)[fam - 1]))
     if fam in (1, 3):
-        direction = r1_direction(base[1]) if fam == 1 else r3_direction(base[1])
-        state = base + s * direction
+        state = _line_point(fam, base, s)
         speed = float(eigenvalues(state, params)[fam - 1])
         return CurvePoint(state=state, speed=speed,
                           warnings=_curve_warnings(base, 0.0, state))
@@ -304,8 +306,7 @@ def rarefaction(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
 
 def wave_fan_curve(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
     """Wave-fan curve D_fam: shock branch on the admissible-shock side, else rarefaction."""
-    _check_family(fam)
-    if s * _SHOCK_SIDE[fam] > 0.0:
+    if shock_side(fam, s):
         return hugoniot(fam, base, s, params)
     return rarefaction(fam, base, s, params)
 

@@ -294,6 +294,26 @@ def test_verify_hugoniot_checks_the_requested_eta(tmp_path, monkeypatch, capsys)
     assert set(seen) == {(2, 0.2)}
 
 
+def test_verify_gnl_takes_the_requested_radius(capsys):
+    for argv, radius in ((["--radius", "0.95"], 0.95), ([], 0.89)):
+        assert run_cli("verify", "gnl", "--eta", "0.1", "--samples", "50", "--format", "json",
+                       *argv) == 0
+        doc, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+        (record,) = doc["records"]
+        assert record["radius"] == radius
+
+
+def test_verify_verdict_comes_from_the_records(monkeypatch, capsys):
+    def failing_suite(cfg, params):
+        return [{"scenario_id": 0, "pass": False}]
+
+    monkeypatch.setitem(cli._SUITES, "taylor22", (failing_suite, {}))
+    assert run_cli("verify", "taylor22") == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "verify taylor22: 1 records, 1 failures -> FAIL"
+    )
+
+
 # key: (its flag's value on the command line or None without a flag, what
 # that resolves to, a scenario file value)
 SETTING_CASES = {
@@ -439,3 +459,22 @@ def test_readme_scenario_example_runs(tmp_path, capsys):
     scenario.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0])
     assert run_cli("fronttrack", "--scenario", str(scenario), "--max-events", "5") == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("fronttrack: 5 events")
+
+
+def test_negative_counts_exit_1_before_any_output(tmp_path, capsys):
+    fan_path = tmp_path / "fan.json"
+    argv = ["riemann", "--ul", "0.1,0,0", "--ur", "0.1,0.1,0", "--out", str(fan_path)]
+    assert run_cli(*argv, "--sample", "-3") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: sample must be >= 0, got -3\n" and captured.out == ""
+    assert not fan_path.exists()
+
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"fronttrack": _TRACK}))
+    argv = ["fronttrack", "--scenario", str(scenario), "--out", str(tmp_path / "run")]
+    assert run_cli(*argv, "--max-events", "-5") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: max_events must be >= 0, got -5\n" and captured.out == ""
+    assert list(tmp_path.glob("run_*")) == []
+    assert run_cli(*argv, "--max-events", "0") == 0
+    assert capsys.readouterr().out.startswith("fronttrack: 0 events")

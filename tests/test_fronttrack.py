@@ -9,7 +9,7 @@ import bjsystem.fronttrack as ft
 import bjsystem.riemann as rm
 import bjsystem.wavecurves as wc
 from bjsystem.errors import DomainError, HyperbolicityError, TrackerEventError
-from bjsystem.flux import ModelParams
+from bjsystem.flux import ModelParams, eigenvalues
 
 import oracles
 
@@ -107,6 +107,7 @@ def test_emit_fronts_integrates_each_piece_from_the_previous_one(monkeypatch):
     assert len(fronts) == 100
     assert len(calls) <= 7 * len(fronts)
     assert fronts[0].left is base and fronts[-1].right is right
+    assert all(f.speed == float(eigenvalues(f.left, params)[1]) for f in fronts)
     st.fronts = fronts
     _assert_chain_exact(st)
     for k, f in enumerate(fronts[:-1], start=1):
@@ -393,6 +394,14 @@ def test_run_rejects_past_horizon():
     st.time = 2.0
     with pytest.raises(DomainError):
         ft.run(st, 1.0)
+
+
+def test_run_rejects_a_negative_event_budget():
+    st = ft.init_from_piecewise([], np.zeros(3), P0)
+    with pytest.raises(DomainError, match=r"max_events must be >= 0, got -5"):
+        ft.run(st, 1.0, max_events=-5)
+    st, series = ft.run(st, 1.0, max_events=0)
+    assert len(series) == 1 and not st.event_log
 
 
 def test_run_names_the_event_that_failed(monkeypatch):

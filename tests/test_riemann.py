@@ -1,5 +1,7 @@
 """Riemann solver tests: strength recovery, fan evaluation, diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,37 @@ def test_check_fan_on_solver_output():
     for wd in diag.waves:
         if wd.rh_residual is not None:
             assert wd.rh_residual <= 1e-9
+
+
+def test_check_fan_sets_each_wave_kind_its_own_fields():
+    params = ModelParams(0.02)
+    Ul = np.array([0.25, 0.0, -0.25])
+    fan = solve_riemann(Ul, compose(Ul, (-0.05, 0.1, 0.03), params), params)
+    shock, rare = fan.waves[0], fan.waves[1]
+    assert (shock.kind, rare.kind) == (SHOCK, RAREFACTION)
+    diag = check_fan(fan, params)
+    assert diag.ok
+    assert diag.waves[1] == riemann.WaveDiagnostics(
+        family=2, kind=RAREFACTION, strength=rare.strength, rh_residual=None, lax=None,
+        interval_increasing=True, kind_consistent=True,
+    )
+    assert diag.waves[0] == riemann.WaveDiagnostics(
+        family=1, kind=SHOCK, strength=shock.strength,
+        rh_residual=wc.rh_residual(shock.left, shock.right, shock.speed, params),
+        lax=wc.lax_admissible(1, shock.left, shock.right, shock.speed, params),
+        interval_increasing=None, kind_consistent=True,
+    )
+    assert diag.waves[0].lax.admissible
+
+    mislabelled = dataclasses.replace(shock, kind=CONTACT)
+    diag = check_fan(dataclasses.replace(fan, waves=(mislabelled, *fan.waves[1:])), params)
+    assert not diag.ok and not diag.waves[0].kind_consistent and diag.waves[0].lax.admissible
+
+    decreasing = dataclasses.replace(rare, speed=rare.speed[::-1])
+    waves = (shock, decreasing, *fan.waves[2:])
+    diag = check_fan(dataclasses.replace(fan, waves=waves), params)
+    assert not diag.ok and diag.waves[1].interval_increasing is False
+    assert diag.speeds_ordered and diag.states_chained
 
 
 def test_check_fan_flags_inadmissible_wave():

@@ -20,16 +20,23 @@ Besides the list of live fronts, a `TrackerState` keeps one C-contiguous
 The columns of a front's row are its left state (0:3), its right state
 (3:6), birth_x, speed, birth_t, the intercept birth_x - speed * birth_t,
 |right| (`np.linalg.norm`) and |right - left| (11:14); the column constants
-below are the only code that knows this layout.  `next_collision` and
-`observables` read the block instead of gathering from every front at every
-event.  `_splice` is the one place that changes the front list:
-`init_from_piecewise` and `resolve_collision` replace fronts and rows
-through it, computing rows only for the new fronts, so an event costs O(k)
-Python work for k fronts in and out.  A hand-built state, a new list
+below are the only code that knows this layout.  `next_collision` reads
+the block instead of gathering from every front at every event.  Next to it
+the state keeps running totals of the block: the total variation, the two
+sums over neighbour pairs whose combination P + Q t is the hull integral
+(see `observables`) and the max |right|.  `_splice` is the one place that
+changes the front list: `init_from_piecewise` and `resolve_collision`
+replace fronts, rows and the totals' terms through it, computing rows only
+for the new fronts and terms only for the rows next to the splice, and
+`observables` reads the totals in O(1).  So an event costs O(k) Python work
+for k fronts in and out, observables included.  What still grows with the
+front count is numpy work: `next_collision`'s pass over the block, a copy
+of the block when the front count changes, and a pass over the norm column
+when the front holding the max leaves.  A hand-built state, a new list
 assigned to `st.fronts` or a change of its length makes the next reader
-rebuild the block.  A front edited in place elsewhere, or one put in the
-list in place of another, is picked up only after `st.fronts` is assigned a
-new list.
+rebuild the block and its totals.  A front edited in place elsewhere, or one
+put in the list in place of another, is picked up only after `st.fronts` is
+assigned a new list.
 
 A standalone scalar tracker for the decoupled v-component (flux v^2) serves
 as an independent oracle: 2-shock speeds are v_left + v_right for every eta,
@@ -111,8 +118,14 @@ class TrackerState:
     # the (n, 14) row block of `_rows_for` for the fronts of `_rows_of`, kept by `_splice`
     _rows: np.ndarray | None = field(default=None, repr=False, compare=False)
     _rows_of: list | None = field(default=None, repr=False, compare=False)
-    # (U_bg, model, F(U_bg), |U_bg|) for the boundary state and model it was computed for
+    # running totals of the `_rows` block, kept by `_splice` (see `_range_terms`):
+    # the total variation, P and Q (3 Python floats each) and the max |right|
+    _totals: list | None = field(default=None, repr=False, compare=False)
+    _max_norm: float = field(default=-np.inf, repr=False, compare=False)
+    # (U_bg, model, U_bg, F(U_bg) as float lists, |U_bg|) for the boundary state and model
     _bg_terms: tuple | None = field(default=None, repr=False, compare=False)
+    # (U_far, model, F(U_far)) as float lists, for the last right state and model
+    _far_terms: tuple | None = field(default=None, repr=False, compare=False)
 
     def new_uid(self) -> int:
         uid = self._next_uid
@@ -368,10 +381,13 @@ def resolve_collision(st: TrackerState, candidate: CollisionCandidate) -> Tracke
     return st
 
 
-# columns of a front's row in `TrackerState._rows`
+# columns of a front's row in `TrackerState._rows`; the Python-float loops of
+# `_range_terms` name the u, v and w columns of the right state and the jump
 _LEFT, _RIGHT = slice(0, 3), slice(3, 6)
+_RIGHT_U, _RIGHT_V, _RIGHT_W = range(3, 6)
 _BIRTH_X, _SPEED, _BIRTH_T, _INTERCEPT, _NORM = range(6, 11)
 _JUMP = slice(11, 14)
+_JUMP_U, _JUMP_V, _JUMP_W = range(11, 14)
 _N_COLS = 14
 
 
@@ -395,47 +411,106 @@ def _rows_for(fronts: list) -> np.ndarray:
 
 
 def _rebuild_rows(st: TrackerState) -> None:
-    """Compute the row block of st.fronts afresh."""
+    """Compute the row block of st.fronts and its running totals afresh."""
     st._rows, st._rows_of = _rows_for(st.fronts), st.fronts
+    st._totals, st._max_norm = _range_terms(st._rows, 0, len(st._rows))
 
 
 def _front_rows(st: TrackerState) -> np.ndarray:
     """The kept (n, 14) row block of st.fronts, in the columns of `_rows_for`.
 
-    The block is rebuilt if it was built for another list than st.fronts or
-    for another length, as after a hand-built state or an assignment to
-    st.fronts.
+    The block and its totals are rebuilt if the block was built for another
+    list than st.fronts or for another length, as after a hand-built state or
+    an assignment to st.fronts.
     """
     if st._rows_of is not st.fronts or len(st._rows) != len(st.fronts):
         _rebuild_rows(st)
     return st._rows
 
 
+def _range_terms(rows: np.ndarray, start: int, stop: int) -> tuple:
+    """The terms of rows[start:stop] in the running totals, and their max |right|.
+
+    The terms are 9 Python floats: the sum of the |right - left| columns of
+    the range, then P = sum (b' - b) right and Q = sum (lambda' - lambda) right
+    over every adjacent pair with a row in the range, where b is the
+    intercept column, lambda the speed column and right the left row's right
+    state, and the primes mark the right row.  An empty range still has the
+    pair that straddles it.  The max is -inf for an empty range.
+    """
+    lo = max(start - 1, 0)
+    block = rows[lo : stop + 1].tolist()
+    tv_u = tv_v = tv_w = p_u = p_v = p_w = q_u = q_v = q_w = 0.0
+    max_norm = -np.inf
+    for r in block[start - lo : stop - lo]:
+        tv_u += r[_JUMP_U]
+        tv_v += r[_JUMP_V]
+        tv_w += r[_JUMP_W]
+        if r[_NORM] > max_norm:
+            max_norm = r[_NORM]
+    for r, r_next in zip(block, block[1:]):
+        db, dl = r_next[_INTERCEPT] - r[_INTERCEPT], r_next[_SPEED] - r[_SPEED]
+        u, v, w = r[_RIGHT_U], r[_RIGHT_V], r[_RIGHT_W]
+        p_u += db * u
+        p_v += db * v
+        p_w += db * w
+        q_u += dl * u
+        q_v += dl * v
+        q_w += dl * w
+    return [tv_u, tv_v, tv_w, p_u, p_v, p_w, q_u, q_v, q_w], max_norm
+
+
 def _splice(st: TrackerState, start: int, stop: int, new_fronts: list) -> None:
-    """Replace st.fronts[start:stop] with new_fronts, and their rows with theirs.
+    """Replace st.fronts[start:stop] with new_fronts, their rows and their totals.
 
     The only code that changes the front list.  Rows are computed for the
     new fronts only, by `_rows_for`.  When as many fronts leave as arrive,
     as in a 1-3 crossing, the new rows are written into the block in place;
     otherwise the block is concatenated once.  It stays C-contiguous and
     bit-equal to the block `_rebuild_rows` would compute.
+
+    The running totals lose the `_range_terms` of the old range and gain
+    those of the new one, O(k) Python float work; a splice of the whole
+    block keeps only the new terms, so an emptied list has zero totals.  The
+    max |right| is taken again from the norm column only when a removed row
+    held it.
     """
     rows = _front_rows(st)
     new = _rows_for(new_fronts)
+    whole = start == 0 and stop == len(rows)
+    old_terms, old_max = _range_terms(rows, start, stop)
     if stop - start == len(new_fronts):
         rows[start:stop] = new
     else:
-        st._rows = np.concatenate((rows[:start], new, rows[stop:]))
+        st._rows = rows = np.concatenate((rows[:start], new, rows[stop:]))
     st.fronts[start:stop] = new_fronts
+    terms, max_norm = _range_terms(rows, start, start + len(new_fronts))
+    if not whole:
+        terms = [total - old + term for total, old, term in zip(st._totals, old_terms, terms)]
+        if old_max >= st._max_norm:
+            max_norm = float(rows[:, _NORM].max())
+        else:
+            max_norm = max(st._max_norm, max_norm)
+    st._totals, st._max_norm = terms, max_norm
 
 
 def _background(st: TrackerState) -> tuple:
-    """(F(U_bg), |U_bg|), computed once per boundary state object and model."""
+    """(U_bg, F(U_bg), |U_bg|) in Python floats, once per boundary state object and model."""
     U_bg, model = st.left_boundary_state, st.params.model
     bg = st._bg_terms
     if bg is None or bg[0] is not U_bg or bg[1] is not model:
-        bg = st._bg_terms = (U_bg, model, flux_fn(U_bg, model), float(np.linalg.norm(U_bg)))
-    return bg[2], bg[3]
+        bg = st._bg_terms = (U_bg, model, U_bg.tolist(), flux_fn(U_bg, model).tolist(),
+                             float(np.linalg.norm(U_bg)))
+    return bg[2:]
+
+
+def _far_flux(st: TrackerState, U_far: list) -> list:
+    """F(U_far) as Python floats, computed once per far state value and model."""
+    model = st.params.model
+    far = st._far_terms
+    if far is None or far[0] != U_far or far[1] is not model:
+        far = st._far_terms = (U_far, model, flux_fn(np.array(U_far), model).tolist())
+    return far[2]
 
 
 def observables(st: TrackerState) -> ObservableRecord:
@@ -453,40 +528,49 @@ def observables(st: TrackerState) -> ObservableRecord:
     plain compact support is unattainable and the flux correction is what the
     conservation certification checks.)
 
-    Everything per front is read from the row block that
-    `init_from_piecewise` and `resolve_collision` keep in step with
-    st.fronts (see `_front_rows` for when it is rebuilt): the positions from
-    the birth_x, speed and birth_t columns, the total variation as the
-    axis-0 sum of the |right - left| columns, max |U| as the maximum of the
-    |right| column, and the hull integral from the right-state columns.
-    Every sum is an axis-0 reduction, which adds the rows in order from +0.0
-    as a loop over the fronts would, and the maximum does not depend on the
-    order.  F(U_bg) and |U_bg| are computed once per boundary state
-    (`_background`).
+    Nothing is summed over the fronts here: `_splice` keeps running totals
+    of the row block (see `_range_terms`), so a call costs O(1).  Between
+    events every front moves on its line x = b + lambda t, so the hull
+    integral is affine in t,
+
+        integrals = P + Q t - U_bg (x_last - x_first),
+
+    with P = sum (b' - b) U and Q = sum (lambda' - lambda) U over adjacent
+    front pairs, U the state between them.  The totals do not depend on U_bg
+    or the model, so a new boundary state needs no rebuild.  The total
+    variation and max |U| are the kept total and maximum; x_first, x_last
+    and U_far are read from the first and last row, and F(U_bg), |U_bg| and
+    F(U_far) are computed once per value (`_background`, `_far_flux`).  The
+    sums are added in event order rather than front order, so the total
+    variation, integrals and balance differ from a loop over the fronts in
+    the last bits; the max is exact.
     """
-    U_bg = st.left_boundary_state
     rows = _front_rows(st)
-    flux_bg, max_norm = _background(st)
-    xs = _position(rows[:, _BIRTH_X], rows[:, _SPEED], rows[:, _BIRTH_T], st.time)
-    tv = rows[:, _JUMP].sum(axis=0)
-    integrals = ((xs[1:] - xs[:-1])[:, None] * (rows[:-1, _RIGHT] - U_bg)).sum(axis=0)
-    balance = integrals
+    U_bg, flux_bg, bg_norm = _background(st)
+    t = st.time
+    tv, p, q = st._totals[:3], st._totals[3:6], st._totals[6:]
     if st.fronts:
-        max_norm = max(max_norm, float(rows[:, _NORM].max()))
-        U_far = st.fronts[-1].right
-        balance = (
-            integrals
-            - xs[-1] * (U_far - U_bg)
-            + st.time * (flux_fn(U_far, st.params.model) - flux_bg)
-        )
+        first, last = rows[0].tolist(), rows[-1].tolist()
+        x_first = _position(first[_BIRTH_X], first[_SPEED], first[_BIRTH_T], t)
+        x_last = _position(last[_BIRTH_X], last[_SPEED], last[_BIRTH_T], t)
+        U_far = last[_RIGHT]
+        integrals = [pk + qk * t - ub * (x_last - x_first) for pk, qk, ub in zip(p, q, U_bg)]
+        flux_far = _far_flux(st, U_far)
+        balance = [
+            integral - x_last * (uf - ub) + t * (ff - fb)
+            for integral, uf, ub, ff, fb in zip(integrals, U_far, U_bg, flux_far, flux_bg)
+        ]
+    else:
+        integrals = balance = [0.0, 0.0, 0.0]
+    f64 = np.float64
     return ObservableRecord(
         time=st.time,
         n_events=len(st.event_log),
         n_fronts=len(st.fronts),
-        total_variation=tuple(tv),
-        max_state_norm=max_norm,
-        integrals=tuple(integrals),
-        balance=tuple(balance),
+        total_variation=(f64(tv[0]), f64(tv[1]), f64(tv[2])),
+        max_state_norm=max(bg_norm, st._max_norm),
+        integrals=(f64(integrals[0]), f64(integrals[1]), f64(integrals[2])),
+        balance=(f64(balance[0]), f64(balance[1]), f64(balance[2])),
     )
 
 

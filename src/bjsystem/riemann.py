@@ -121,15 +121,14 @@ def solve_riemann(Ul, Ur, params: ModelParams) -> RiemannFan:
             notes.append(f"{name} state outside the unit ball |U| < 1")
 
     s2 = float(Ur[1] - Ul[1])
-    r1 = wc.r1_direction(Ul[1])
     ur, wr = Ur[0], Ur[2]
     scale = 1.0 + float(np.linalg.norm(Ur[[0, 2]]))
 
     def compose(s1: float):
-        UA = Ul + s1 * r1
+        UA = wc._line_point(1, Ul, s1)
         UB = wc.wave_fan_curve(2, UA, s2, params).state if s2 != 0.0 else UA
         s3 = float(ur - UB[0])
-        UC = UB + s3 * wc.r3_direction(UB[1])
+        UC = wc._line_point(3, UB, s3)
         return s1, s3, UA, UB, UC, float(UC[2] - wr)
 
     stop = 1e-15 * scale

@@ -256,6 +256,30 @@ def test_resolve_cancellation_empties_fan():
     assert st.fronts == []
     assert st.event_log[0].outgoing == ()
     assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    # the splice replaced every row, so no rounding of the removed terms is left
+    rec = ft.observables(st)
+    assert rec.total_variation == rec.integrals == rec.balance == (0.0, 0.0, 0.0)
+    assert rec.max_state_norm == float(np.linalg.norm(U0))
+
+
+def test_nested_cancellations_empty_the_list_with_zero_totals():
+    # the inner pair cancels at t = 1, then the outer pair at t = 3: the second
+    # event splices out every row, so the totals are the sums of nothing
+    U0 = np.array([0.1, 0.2, -0.1])
+    U1 = wc.wave_fan_curve(1, U0, -0.02, P0).state
+    U2 = wc.wave_fan_curve(2, U1, -0.1, P0).state
+    st = kinematic_state([
+        _hand_front(0, 1, U0, U1, -3.0, 1.0),
+        _hand_front(1, 2, U1, U2, -1.0, 1.0),
+        _hand_front(2, 2, U2, U1, 1.0, -1.0),
+        _hand_front(3, 1, U1, U0, 3.0, -1.0),
+    ])
+    st.left_boundary_state = U0
+    st, series = ft.run(st, 10.0)
+    assert [e.time for e in st.event_log] == [1.0, 3.0] and st.fronts == []
+    assert series[1].total_variation != (0.0, 0.0, 0.0)
+    assert series[-1].total_variation == series[-1].integrals == series[-1].balance == (0.0,) * 3
+    assert repr(series[-1]) == repr(dataclasses.replace(oracles.observables_loop(st), time=3.0))
 
 
 def test_run_constant_data():
@@ -443,12 +467,36 @@ def _assert_chain_exact(st):
         assert np.array_equal(a.right, b.left)
 
 
+# `observables` adds its running totals in event order and the loop adds the
+# fronts in list order, so the sums agree to rounding, not bit for bit
+OBSERVABLES_TOL = 1e-13
+
+
+def _assert_observables_equal_loop(st):
+    """`observables(st)` against the loop: counts and max |U| exactly, sums within tolerance."""
+    rec, ref = ft.observables(st), oracles.observables_loop(st)
+    assert (rec.time, rec.n_events, rec.n_fronts) == (ref.time, ref.n_events, ref.n_fronts)
+    assert type(rec.max_state_norm) is float and rec.max_state_norm == ref.max_state_norm
+    for name in ("total_variation", "integrals", "balance"):
+        got, want = getattr(rec, name), getattr(ref, name)
+        assert len(got) == 3 and all(type(x) is np.float64 for x in got)
+        tol = OBSERVABLES_TOL * (1.0 + np.abs(want))
+        assert np.all(np.abs(np.subtract(got, want)) <= tol), name
+    return rec
+
+
+def _assert_totals_rebuilt(st):
+    """Totals rebuilt from the rows add the jumps in front order, as the loop does."""
+    rec = _assert_observables_equal_loop(st)
+    assert rec.total_variation == oracles.observables_loop(st).total_variation
+
+
 def _assert_observables_match_loop(st, n_events):
-    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    _assert_observables_equal_loop(st)
     _assert_chain_exact(st)
     for _ in range(n_events):
         ft.resolve_collision(st, ft.next_collision(st))
-        assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+        _assert_observables_equal_loop(st)
         _assert_chain_exact(st)
 
 
@@ -569,7 +617,7 @@ def test_observables_equal_the_loop_with_few_fronts(n_fronts):
     assert len(st.fronts) == n_fronts
     _assert_rows_fresh(st)
     st.time = 0.75
-    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    _assert_observables_equal_loop(st)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.3])
@@ -637,6 +685,27 @@ def test_state_rows_equal_fresh_gathers_after_every_event(monkeypatch, run, n_ev
     assert rebuilds == []
 
 
+@pytest.mark.parametrize("run, n_events", [("shock", 3000), ("rarefaction", 1500)])
+def test_observables_stay_with_the_loop_over_a_long_run(run, n_events):
+    if run == "shock":
+        jumps, U0, params = _shock_run()
+        st = ft.init_from_piecewise(jumps, U0, params)
+    else:
+        st = _rarefaction_run()
+    prev = ft.observables(st)
+    base = np.array(prev.balance)
+    for n in range(1, n_events + 1):
+        ft.resolve_collision(st, ft.next_collision(st))
+        rec = ft.observables(st)
+        assert (rec.n_events, rec.n_fronts) == (n, len(st.fronts))
+        assert rec.time >= prev.time
+        if run == "shock":
+            assert np.max(np.abs(np.array(rec.balance) - base)) <= 1e-10
+        if n % 10 == 0 or n == n_events:
+            _assert_observables_equal_loop(st)
+        prev = rec
+
+
 def _hand_front(uid, family, left, right, x, speed):
     return ft.Front(uid=uid, family=family, kind="shock", strength=0.0, left=left,
                     right=right, speed=speed, birth_x=x, birth_t=0.0)
@@ -654,11 +723,11 @@ def test_observables_on_a_hand_built_state(monkeypatch):
     ])
     st.left_boundary_state = U0
     rebuilds = _count_rebuilds(monkeypatch)
-    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    _assert_totals_rebuilt(st)
     assert rebuilds == [3]
     _assert_rows_fresh(st)
     ft.resolve_collision(st, ft.next_collision(st))
-    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    _assert_observables_equal_loop(st)
     assert rebuilds == [3]
     _assert_rows_fresh(st)
 
@@ -673,31 +742,57 @@ def test_observables_after_fronts_are_reassigned(monkeypatch):
     # a new list of the same length, with the last front's right state moved
     last = st.fronts[-1]
     st.fronts = st.fronts[:-1] + [dataclasses.replace(last, right=last.right + 1e-3)]
-    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    _assert_totals_rebuilt(st)
     # a shorter new list, and the same list made shorter; then events on it
     st.fronts = st.fronts[:-5]
-    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    _assert_totals_rebuilt(st)
     del st.fronts[-3:]
-    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    _assert_totals_rebuilt(st)
     assert len(rebuilds) == 3
     for _ in range(20):
         ft.resolve_collision(st, ft.next_collision(st))
-        assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+        _assert_observables_equal_loop(st)
         _assert_rows_fresh(st)
     assert len(rebuilds) == 3
 
 
-def test_observables_after_the_boundary_state_is_reassigned():
+def test_observables_after_the_boundary_state_is_reassigned(monkeypatch):
     jumps, U0, params = _shock_run()
     st = ft.init_from_piecewise(jumps, U0, params)
     for _ in range(30):
         ft.resolve_collision(st, ft.next_collision(st))
-    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
-    # F(U_bg) and |U_bg| are kept for the boundary state object they were computed for
+    before = _assert_observables_equal_loop(st)
+    rebuilds = _count_rebuilds(monkeypatch)
+    # the running totals do not depend on U_bg or the model; F(U_bg), |U_bg| and
+    # F(U_far) are kept for the boundary state object and model they were computed for
     st.left_boundary_state = U0 + np.array([0.01, -0.02, 0.03])
-    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    moved = _assert_observables_equal_loop(st)
+    assert moved.integrals != before.integrals and moved.balance != before.balance
     st.params = ft.TrackerParams(model=ModelParams(0.05))
-    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    remodelled = _assert_observables_equal_loop(st)
+    assert remodelled.balance != moved.balance
+    assert rebuilds == []
+
+
+def test_max_state_norm_after_the_front_holding_it_is_removed():
+    # the middle pair carries the largest state, U2, and cancels head-on
+    U0 = np.array([0.1, 0.2, -0.1])
+    U1 = wc.wave_fan_curve(1, U0, -0.02, P0).state
+    U2 = wc.wave_fan_curve(2, U1, 0.1, P0).state
+    U3 = wc.wave_fan_curve(3, U1, 0.02, P0).state
+    st = kinematic_state([
+        _hand_front(0, 1, U0, U1, -3.0, -4.0),
+        _hand_front(1, 2, U1, U2, -1.0, 1.0),
+        _hand_front(2, 2, U2, U1, 1.0, -1.0),
+        _hand_front(3, 3, U1, U3, 3.0, 4.0),
+    ])
+    st.left_boundary_state = U0
+    before = _assert_observables_equal_loop(st)
+    assert before.max_state_norm == float(np.linalg.norm(U2))
+    ft.resolve_collision(st, ft.next_collision(st))
+    assert [f.uid for f in st.fronts] == [0, 3]
+    after = _assert_observables_equal_loop(st)
+    assert after.max_state_norm == float(np.linalg.norm(U3)) < before.max_state_norm
 
 
 def test_observables_after_a_cancellation_between_other_fronts():
@@ -719,7 +814,7 @@ def test_observables_after_a_cancellation_between_other_fronts():
     assert st.event_log[-1].outgoing == ()
     assert [f.uid for f in st.fronts] == [0, 3]
     _assert_rows_fresh(st)
-    assert repr(ft.observables(st)) == repr(oracles.observables_loop(st))
+    _assert_observables_equal_loop(st)
 
 
 # --- scalar oracle ----------------------------------------------------------

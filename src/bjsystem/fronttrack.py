@@ -13,7 +13,10 @@ curves are straight lines, r1 = (1, 0, v) moving only alpha and
 r3 = (1, 0, v - 2) moving only beta in the line coordinates of `flux`, so
 the two waves pass through each other with unchanged strengths.  Since
 lambda_1 depends only on alpha and lambda_3 only on beta, their speeds are
-unchanged in exact arithmetic as well.
+unchanged in exact arithmetic as well, for shocks, for eta = 0 contacts and
+for rarefaction pieces, which move at the speed of their left edge.  So the
+crossing copies each front with its family, kind, strength and speed, and
+computes only the new middle state U_L + (U_R - U_M).
 
 Besides the list of live fronts, a `TrackerState` keeps one C-contiguous
 (n, 14) float block of rows for them, `_rows`, in the order of the list.
@@ -44,7 +47,7 @@ and the system's fronts carry that speed bit for bit, so the v-projection of
 the system run must reproduce it exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,7 +55,7 @@ from .errors import ConvergenceError, DomainError, HyperbolicityError, TrackerEv
 from . import wavecurves as wc
 from .flux import ModelParams, as_state, eigenvalues
 from .flux import flux as flux_fn
-from .riemann import RAREFACTION, Wave, _make_wave, solve_riemann
+from .riemann import RAREFACTION, Wave, solve_riemann
 
 DELTA_DEFAULT = 1e-3
 MAX_EVENTS = 10000
@@ -80,7 +83,7 @@ class Front:
 
 
 def _position(birth_x, speed, birth_t, t):
-    """Position at time t on a front's line, for one front or arrays of fronts."""
+    """Position at time t on the line of a front born at (birth_x, birth_t)."""
     return birth_x + speed * (t - birth_t)
 
 
@@ -207,6 +210,13 @@ def _fan_fronts(st: TrackerState, fan, U_right, x: float, t: float) -> list:
     return fronts
 
 
+def _check_positions(jumps) -> None:
+    """Raise DomainError unless the jump positions are finite and strictly increasing."""
+    xs = [float(x) for x, _ in jumps]
+    if not (np.isfinite(xs).all() and all(a < b for a, b in zip(xs, xs[1:]))):
+        raise DomainError(f"jump positions must be finite and strictly increasing, got {xs}")
+
+
 def init_from_piecewise(
     jumps,
     U_leftmost,
@@ -222,12 +232,10 @@ def init_from_piecewise(
     empty (every wave at most TOL_ZERO) emits nothing, and the next fan
     starts from the last emitted state, so it absorbs the dropped jump.
     The rows of the fronts are built once, when the fronts are spliced into
-    the new state.
+    the new state.  The positions must be finite and strictly increasing.
     """
     U_leftmost = as_state(U_leftmost)
-    xs = [float(x) for x, _ in jumps]
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise DomainError("jump positions must be strictly increasing")
+    _check_positions(jumps)
     st = TrackerState(
         params=TrackerParams(model=model, delta=delta),
         time=0.0,
@@ -328,16 +336,15 @@ def _classify_event(families) -> str:
 def _pass_through(st: TrackerState, f3: Front, f1: Front, x: float, t: float) -> list:
     """The 1-front and the 3-front leaving the crossing of f3 (left) and f1 (right).
 
-    With U_L -> U_M -> U_R the incoming states, the new middle state is
-    U_M' = U_L + (U_R - U_M), and each outgoing front keeps its incoming
-    strength.  Kinds and speeds come from `riemann._make_wave`.
+    With U_L -> U_M -> U_R the incoming states, only U_M' = U_L + (U_R - U_M)
+    is computed: each front is copied with its family, kind, strength and
+    speed (see the module docstring) and born at (x, t) between its new states.
     """
     U_left, U_right = f3.left, f1.right
     U_mid = U_left + (U_right - f1.left)
-    model = st.params.model
     return [
-        _front(st, _make_wave(1, f1.strength, U_left, U_mid, model), x, t),
-        _front(st, _make_wave(3, f3.strength, U_mid, U_right, model), x, t),
+        replace(f1, uid=st.new_uid(), left=U_left, right=U_mid, birth_x=x, birth_t=t),
+        replace(f3, uid=st.new_uid(), left=U_mid, right=U_right, birth_x=x, birth_t=t),
     ]
 
 
@@ -346,8 +353,9 @@ def resolve_collision(st: TrackerState, candidate: CollisionCandidate) -> Tracke
 
     Exactly two incoming fronts, of family 3 then family 1, pass through
     each other (see the module docstring): the outgoing 1-front and 3-front
-    keep the incoming strengths, one front each, and the middle state becomes
-    U_L + (U_R - U_M).  Every other collision is resolved by `solve_riemann`.
+    are copies of the incoming ones, with their family, kind, strength and
+    speed, and only the middle state U_L + (U_R - U_M) is computed.  Every
+    other collision is resolved by `solve_riemann`.
     In both cases the left state is kept and the right neighbour's left state
     stays exactly shared across the event.  The outgoing fronts and their
     rows replace the incoming ones through `_splice`.
@@ -581,8 +589,10 @@ def run(st: TrackerState, t_end: float, max_events: int = MAX_EVENTS):
     ConvergenceError or HyperbolicityError while resolving an event is raised
     as a TrackerEventError that names the event and carries the series up to
     the last completed event; st.fronts and st.event_log are left as that
-    event left them.
+    event left them.  t_end must be finite and exceed st.time.
     """
+    if not np.isfinite(t_end):
+        raise DomainError(f"t_end must be finite, got {t_end}")
     if t_end <= st.time:
         raise DomainError(f"t_end must exceed the current time {st.time}, got {t_end}")
     if max_events < 0:
@@ -678,9 +688,7 @@ def burgers_oracle(
     move at v_left + v_right, rarefactions are split with the same delta rule
     as the system tracker.  It stops after MAX_EVENTS events.
     """
-    xs = [float(x) for x, _ in jumps]
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise DomainError("jump positions must be strictly increasing")
+    _check_positions(jumps)
     fronts = []
     all_fronts = []
     uid = 0

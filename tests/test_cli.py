@@ -478,3 +478,23 @@ def test_negative_counts_exit_1_before_any_output(tmp_path, capsys):
     assert list(tmp_path.glob("run_*")) == []
     assert run_cli(*argv, "--max-events", "0") == 0
     assert capsys.readouterr().out.startswith("fronttrack: 0 events")
+
+
+@pytest.mark.parametrize(
+    "jumps, argv, named",
+    [
+        ([[float("nan"), [0.1, 0.1, -0.1]]], [], "got [nan]"),
+        ([[0.0, [0.1, 0.1, -0.1]], [float("inf"), [0.2, 0.1, -0.1]]], [], "got [0.0, inf]"),
+        (_TRACK["jumps"], ["--t-end", "nan"], "t_end must be finite, got nan"),
+        (_TRACK["jumps"], ["--t-end", "inf"], "t_end must be finite, got inf"),
+    ],
+)
+def test_fronttrack_non_finite_input_exits_1_writing_nothing(tmp_path, capsys, jumps, argv, named):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"fronttrack": {**_TRACK, "jumps": jumps}}))  # NaN literal
+    out = ["--out", str(tmp_path / "run")]
+    assert run_cli("fronttrack", "--scenario", str(scenario), *out, *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and named in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert list(tmp_path.glob("run_*")) == []

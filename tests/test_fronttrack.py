@@ -119,6 +119,15 @@ def test_init_rejects_unsorted_positions():
         ft.init_from_piecewise([(1.0, np.zeros(3)), (0.0, np.zeros(3))], np.zeros(3), P0)
 
 
+@pytest.mark.parametrize("xs", [[np.nan], [0.0, np.nan], [np.inf], [-np.inf, 0.0], [0.0, 0.0]])
+def test_jump_positions_must_be_finite_and_increasing(xs):
+    message = r"jump positions must be finite and strictly increasing, got \[" + repr(xs[0])
+    with pytest.raises(DomainError, match=message):
+        ft.init_from_piecewise([(x, np.zeros(3)) for x in xs], np.zeros(3), P0)
+    with pytest.raises(DomainError, match=message):
+        ft.burgers_oracle(0.0, [(x, 0.1) for x in xs], 1.0)
+
+
 def test_collision_time_head_on():
     st = kinematic_state([make_plain_front(0, -1.0, 1.0), make_plain_front(1, 1.0, -1.0)])
     cand = ft.next_collision(st)
@@ -158,8 +167,14 @@ def _crossing_state(rng, params, kind):
     return ft.init_from_piecewise([(-0.1, UM), (0.1, UR)], U0, params, delta=delta)
 
 
+def _own_speed(f, params):
+    """The family eigenvalue's mean at the front's two states, or at its left state for a piece."""
+    lam_l, lam_r = (float(eigenvalues(U, params)[f.family - 1]) for U in (f.left, f.right))
+    return lam_l if f.kind == rm.RAREFACTION else 0.5 * (lam_l + lam_r)
+
+
 @pytest.mark.parametrize("kind", ["shock", "rarefaction"])
-@pytest.mark.parametrize("eta", [1e-4, 0.05, 0.2])
+@pytest.mark.parametrize("eta", [0.0, 1e-4, 0.05, 0.2])
 def test_1_3_crossing_passes_through_as_the_solver_would(eta, kind):
     params = ModelParams(eta)
     rng = np.random.default_rng([811, int(eta * 1e4), kind == "shock"])
@@ -173,9 +188,13 @@ def test_1_3_crossing_passes_through_as_the_solver_would(eta, kind):
         out = st.fronts[cand.indices[0] : cand.indices[0] + 2]
         assert out[0].left is f3.left and out[1].right is f1.right
         assert out[0].right is out[1].left
-        assert [(f.family, f.strength) for f in out] == [(1, f1.strength), (3, f3.strength)]
+        moved = [(f.family, f.kind, f.strength, f.speed) for f in out]
+        assert moved == [(f.family, f.kind, f.strength, f.speed) for f in (f1, f3)]
         assert [(w.family, w.kind) for w in fan.waves] == [(f.family, f.kind) for f in out]
-        assert [f.kind for f in out] == [f1.kind, f3.kind]
+        if eta == 0.0:
+            assert [f.kind for f in out] == [rm.CONTACT, rm.CONTACT]
+        for f in out:
+            assert abs(f.speed - _own_speed(f, params)) <= 1e-15 * (1.0 + abs(f.speed))
         U_mid = out[0].right
         assert np.max(np.abs(U_mid - fan.waves[0].right)) <= 1e-15 * (1.0 + np.linalg.norm(U_mid))
         for w, f in zip(fan.waves, out):
@@ -418,6 +437,14 @@ def test_run_rejects_past_horizon():
     st.time = 2.0
     with pytest.raises(DomainError):
         ft.run(st, 1.0)
+
+
+@pytest.mark.parametrize("t_end", [np.nan, np.inf, -np.inf])
+def test_run_rejects_a_non_finite_t_end(t_end):
+    st = ft.init_from_piecewise([(0.0, np.array([0.1, -0.1, 0.0]))], np.zeros(3), P0)
+    with pytest.raises(DomainError, match=f"t_end must be finite, got {t_end}"):
+        ft.run(st, t_end)
+    assert st.time == 0.0 and not st.event_log
 
 
 def test_run_rejects_a_negative_event_budget():

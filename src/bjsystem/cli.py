@@ -1,11 +1,13 @@
 """Command-line front end: Riemann solves, verification suites, front tracking.
 
-Exit codes: 0 all checks passed, 1 validation or check failure, 2 numeric
-breakdown.  Scenario files are JSON with the sections and keys of `_SETTINGS`
-and an optional schema_version "1".  A setting is its flag, else the file's
-value, else its default; a missing required value, or one that does not
-convert to its default's type, exits 1 naming the key.  Reports are CSV
-(header row; TSV on request), trajectories TSV, single-fan dumps JSON.
+Exit codes: 0 all checks passed, 1 check failure or bad input (one `error:`
+line: a usage error, a malformed flag or file, an unwritable output), 2
+numeric breakdown.  Scenario files are JSON with the sections and keys of
+`_SETTINGS` and an optional schema_version "1".  A setting is its flag, else
+the file's value, else its default; a flag's string converts exactly like the
+file's value, and a missing required value, or one that does not convert to
+its default's type, exits 1 naming the key.  Reports are CSV (header row; TSV
+on request), trajectories TSV, single-fan dumps JSON.
 """
 
 import argparse
@@ -35,22 +37,18 @@ EXIT_NUMERIC = 2
 
 
 def _parse_state(value):
-    if not isinstance(value, str):
-        arr = np.asarray(value, dtype=float)
-        if arr.shape != (3,):
-            raise DomainError(f"state must have three components, got {value!r}")
-        return arr
-    parts = [p for p in value.replace(",", " ").split() if p]
+    """A 'u,v,w' string (commas or spaces) or a list of three numbers."""
+    parts = value.replace(",", " ").split() if isinstance(value, str) else value
     if len(parts) != 3:
-        raise DomainError(f"expected three comma-separated components, got {value!r}")
-    return np.array([float(p) for p in parts])
+        raise DomainError(f"expected three components, got {value!r}")
+    return np.array([_coerce(p, float) for p in parts])
 
 
 def _parse_jumps(value):
     """[x, [u, v, w]] pairs, each giving the state to the right of x."""
     if not (isinstance(value, list) and all(isinstance(j, list) and len(j) == 2 for j in value)):
         raise DomainError(f"expected a list of [x, [u, v, w]] pairs, got {value!r}")
-    return [(float(x), _parse_state(state)) for x, state in value]
+    return [(_coerce(x, float), _parse_state(state)) for x, state in value]
 
 
 # Each scenario section's keys with their defaults.  A required key has no
@@ -116,7 +114,7 @@ def _setting(args, scenario, section, key, spec):
 
 
 def _coerce(value, kind):
-    """`value` as a `kind` (int or float), refusing what would be silently truncated."""
+    """`value` (a number or a flag's string) as a `kind`, refusing a bool or a truncation."""
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
@@ -199,12 +197,7 @@ def cmd_riemann(args, scenario):
     if cfg.sample < 0:
         raise DomainError(f"sample must be >= 0, got {cfg.sample}")
     params = ModelParams(cfg.eta)
-
-    try:
-        fan = solve_riemann(cfg.ul, cfg.ur, params)
-    except ConvergenceError as exc:
-        print(f"riemann solve failed: {exc} (residual {exc.residual})", file=sys.stderr)
-        return EXIT_NUMERIC
+    fan = solve_riemann(cfg.ul, cfg.ur, params)
 
     if not fan.waves:
         print("no waves (states coincide)")
@@ -419,12 +412,7 @@ def cmd_verify(args, scenario):
     run, defaults = _SUITES[which]
     cfg = _settings(args, scenario, "verify", **defaults)
     params = ModelParams(cfg.eta)
-
-    try:
-        records = run(cfg, params)
-    except (ConvergenceError, HyperbolicityError) as exc:
-        print(f"verify {which}: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    records = run(cfg, params)
 
     # reproducibility: every record carries the fully resolved configuration
     for rec in records:
@@ -447,18 +435,13 @@ def cmd_verify(args, scenario):
 def cmd_fronttrack(args, scenario):
     cfg = _settings(args, scenario, "fronttrack")
     params = ModelParams(cfg.eta)
-
+    st = ft.init_from_piecewise(cfg.jumps, cfg.u_left, params, delta=cfg.delta)
     try:
-        st = ft.init_from_piecewise(cfg.jumps, cfg.u_left, params, delta=cfg.delta)
         st, series = ft.run(st, cfg.t_end, max_events=cfg.max_events)
     except TrackerEventError as exc:
         # leave the partial log: everything up to the last completed event
         _write_tracker_outputs(args, st, exc.series)
-        print(f"fronttrack: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ConvergenceError, HyperbolicityError) as exc:
-        print(f"fronttrack: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise
 
     _write_tracker_outputs(args, st, series)
     last = series[-1]
@@ -526,8 +509,14 @@ def _write_tracker_outputs(args, st, series):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """Flags only name the settings: `_setting` converts and checks their strings."""
+    parser = _Parser(
         prog="bjsystem",
         description="Riemann solves, interaction certification and front tracking "
         "for the Baiti-Jenssen 3x3 system.",
@@ -537,33 +526,33 @@ def build_parser():
     pr = sub.add_parser("riemann", help="solve one Riemann problem and print the wave table")
     pr.add_argument("--ul", help="left state as 'u,v,w'")
     pr.add_argument("--ur", help="right state as 'u,v,w'")
-    pr.add_argument("--eta", type=float, default=None, help="perturbation parameter in [0, 1/4)")
+    pr.add_argument("--eta", help="perturbation parameter in [0, 1/4)")
     pr.add_argument("--scenario", help="JSON scenario file")
-    pr.add_argument("--sample", type=int, default=None, help="emit N self-similar profile samples")
-    pr.add_argument("--xi-min", dest="xi_min", type=float, default=None)
-    pr.add_argument("--xi-max", dest="xi_max", type=float, default=None)
+    pr.add_argument("--sample", help="emit N self-similar profile samples")
+    pr.add_argument("--xi-min")
+    pr.add_argument("--xi-max")
     pr.add_argument("--out", help="write the fan as JSON to this path")
-    pr.add_argument("--sample-out", dest="sample_out", help="write profile samples here")
+    pr.add_argument("--sample-out", help="write profile samples here")
     pr.add_argument("--format", choices=("csv", "json", "tsv"), default="csv")
 
     pv = sub.add_parser("verify", help="run a certification suite")
-    pv.add_argument("which", nargs="?", choices=VERIFY_SUITES)
-    pv.add_argument("--eta", type=float, default=None)
-    pv.add_argument("--a", type=float, default=None, help="base-point parameter in (0, 1/2)")
-    pv.add_argument("--eps", type=float, default=None, help="2-2 scenario box size")
-    pv.add_argument("--samples", type=int, default=None)
-    pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--radius", type=float, default=None)
+    pv.add_argument("which", nargs="?", help=f"the suite: {', '.join(VERIFY_SUITES)}")
+    pv.add_argument("--eta")
+    pv.add_argument("--a", help="base-point parameter in (0, 1/2)")
+    pv.add_argument("--eps", help="2-2 scenario box size")
+    pv.add_argument("--samples")
+    pv.add_argument("--seed")
+    pv.add_argument("--radius")
     pv.add_argument("--scenario", help="JSON scenario file")
     pv.add_argument("--out", help="report path (default stdout)")
     pv.add_argument("--format", choices=("csv", "json", "tsv"), default="csv")
 
     pf = sub.add_parser("fronttrack", help="run the front tracker on a scenario file")
-    pf.add_argument("--scenario", required=True, help="JSON scenario file")
-    pf.add_argument("--eta", type=float, default=None)
-    pf.add_argument("--delta", type=float, default=None, help="rarefaction discretization")
-    pf.add_argument("--t-end", dest="t_end", type=float, default=None)
-    pf.add_argument("--max-events", dest="max_events", type=int, default=None)
+    pf.add_argument("--scenario", help="JSON scenario file")
+    pf.add_argument("--eta")
+    pf.add_argument("--delta", help="rarefaction discretization")
+    pf.add_argument("--t-end")
+    pf.add_argument("--max-events")
     pf.add_argument(
         "--out", help="output prefix for _events.csv, _trajectories.tsv and _observables.csv"
     )
@@ -571,20 +560,22 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; every error it raises becomes one stderr line and an exit code."""
     try:
-        scenario = load_scenario(args.scenario) if getattr(args, "scenario", None) else {}
+        args = build_parser().parse_args(argv)
+        scenario = load_scenario(args.scenario) if args.scenario else {}
         if args.command == "riemann":
             return cmd_riemann(args, scenario)
         if args.command == "verify":
             return cmd_verify(args, scenario)
         return cmd_fronttrack(args, scenario)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (ConvergenceError, HyperbolicityError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+    except (ConvergenceError, HyperbolicityError, TrackerEventError) as exc:
+        residual = getattr(exc, "residual", None)
+        suffix = "" if residual is None else f" (residual {residual})"
+        print(f"{args.command}: numeric failure: {exc}{suffix}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

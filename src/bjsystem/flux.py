@@ -67,7 +67,7 @@ class ModelParams:
     def __post_init__(self):
         eta = float(self.eta)
         if not np.isfinite(eta) or not 0.0 <= eta < ETA_MAX:
-            raise ValueError(f"eta must lie in [0, 1/4), got {self.eta!r}")
+            raise DomainError(f"eta must lie in [0, 1/4), got {self.eta!r}")
         object.__setattr__(self, "eta", eta)
 
 

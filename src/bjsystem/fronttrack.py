@@ -686,8 +686,13 @@ def burgers_oracle(
 
     `jumps` lists (x, v) with the value to the right of each position; shocks
     move at v_left + v_right, rarefactions are split with the same delta rule
-    as the system tracker.  It stops after MAX_EVENTS events.
+    as the system tracker.  It stops after MAX_EVENTS events.  t_end must be
+    finite and above 0, and delta above 0.
     """
+    if not (np.isfinite(t_end) and t_end > 0.0):
+        raise DomainError(f"t_end must be finite and above 0, got {t_end}")
+    if not delta > 0.0:
+        raise DomainError(f"rarefaction piece size delta must be positive, got {delta}")
     _check_positions(jumps)
     fronts = []
     all_fronts = []

@@ -196,7 +196,7 @@ def sample_scenarios_22(
 
 def _h_matrix(s: float) -> np.ndarray:
     """Columns [I + E(0, s)] (1, 0)^T and (1, s-2)^T."""
-    E = wc.hugoniot_matrix(0.0, s) if s != 0.0 else np.zeros((2, 2))
+    E = wc.hugoniot_matrix(0.0, s)
     first = (np.eye(2) + E) @ np.array([1.0, 0.0])
     second = np.array([1.0, s - 2.0])
     return np.column_stack([first, second])
@@ -213,7 +213,7 @@ def g_matrix(s1: float, s2: float) -> np.ndarray:
         wc.hugoniot_matrix(0.0, s1)
         + wc.hugoniot_matrix(s1, s2)
         + wc.hugoniot_matrix(s1, s2) @ wc.hugoniot_matrix(0.0, s1)
-        - (wc.hugoniot_matrix(0.0, s) if s != 0.0 else np.zeros((2, 2)))
+        - wc.hugoniot_matrix(0.0, s)
     )
     return np.linalg.solve(_h_matrix(s), B)
 

@@ -77,9 +77,13 @@ def test_riemann_numeric_failure_exit_code(monkeypatch, capsys):
         raise ConvergenceError("forced failure", residual=1.0)
 
     monkeypatch.setattr(cli, "solve_riemann", boom)
-    code = run_cli("riemann", "--ul", "0.1,0,0", "--ur", "0.2,0,0", "--eta", "0")
-    assert code == 2
-    assert "residual" in capsys.readouterr().err
+    monkeypatch.setitem(cli._SUITES, "taylor22", (boom, {}))
+    for argv in (["riemann", "--ul", "0.1,0,0", "--ur", "0.2,0,0", "--eta", "0"],
+                 ["verify", "taylor22"]):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"{argv[0]}: numeric failure: forced failure (residual 1.0)\n"
+        assert captured.out == ""
 
 
 def test_verify_rejects_eta_out_of_range(capsys):
@@ -370,6 +374,7 @@ def test_setting_flag_beats_file_beats_default(section, key):
         (["verify"], None, "which"),
         (["fronttrack"], {"jumps": []}, "u_left"),
         (["fronttrack"], {"u_left": [0.1, 0.0, 0.0]}, "jumps"),
+        (["fronttrack"], None, "u_left"),
     ],
 )
 def test_missing_required_setting_exits_1_naming_it(tmp_path, capsys, argv, section, key):
@@ -399,6 +404,8 @@ _TRACK = {"u_left": [0.1, 0.0, -0.1], "jumps": [[0.0, [0.1, 0.1, -0.1]]]}
         ("fronttrack", {"fronttrack": {**_TRACK, "delta": 0}}, "delta"),
         ("riemann", {"riemann": {"ul": [0, 0, 0], "ur": {"u": 0.1}}}, "'ur'"),
         ("verify", {"verify": {"which": "taylor22", "a": 0}}, "parameter a"),
+        ("riemann", {"riemann": {"ul": [True, 0, 0], "ur": [0, 0, 0]}}, "'ul'"),
+        ("fronttrack", {"fronttrack": {**_TRACK, "jumps": [[True, [0, 0, 0]]]}}, "'jumps'"),
     ],
 )
 def test_malformed_scenario_exits_1_naming_the_key(tmp_path, capsys, command, doc, named):
@@ -407,6 +414,67 @@ def test_malformed_scenario_exits_1_naming_the_key(tmp_path, capsys, command, do
     assert run_cli(command, "--scenario", str(scenario)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+def _one_error_line(captured):
+    return (
+        captured.out == "" and captured.err.startswith("error: ")
+        and captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    )
+
+
+_COMMAND_LINES = {
+    "riemann": ["riemann", "--ul", "0.1,0,0", "--ur", "0.2,0,0", "--sample", "3",
+                "--out", "{out}.json", "--sample-out", "{out}.csv"],
+    "verify": ["verify", "gnl", "--samples", "5", "--out", "{out}.csv"],
+    "fronttrack": ["fronttrack", "--scenario", "{scenario}", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, section",
+    [
+        ("riemann", "--eta", "x", "model"),
+        ("riemann", "--sample", "2.5", "riemann"),
+        ("riemann", "--xi-min", "x", "riemann"),
+        ("riemann", "--xi-max", "1,2", "riemann"),
+        ("verify", "--a", "x", "verify"),
+        ("verify", "--eps", "x", "verify"),
+        ("verify", "--samples", "1.5", "verify"),
+        ("verify", "--seed", "x", "verify"),
+        ("verify", "--radius", "x", "verify"),
+        ("fronttrack", "--delta", "x", "fronttrack"),
+        ("fronttrack", "--t-end", "x", "fronttrack"),
+        ("fronttrack", "--max-events", "2.5", "fronttrack"),
+    ],
+)
+def test_malformed_flag_exits_1_naming_the_setting(tmp_path, capsys, command, flag, value, section):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"fronttrack": _TRACK}))
+    argv = [a.format(out=tmp_path / "run", scenario=scenario) for a in _COMMAND_LINES[command]]
+    assert run_cli(*argv, flag, value) == 1
+    captured = capsys.readouterr()
+    key = flag[2:].replace("-", "_")
+    assert _one_error_line(captured)
+    assert captured.err.startswith(f"error: bad {section} setting '{key}': ")
+    assert list(tmp_path.glob("run*")) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--bogus"], [], ["verify", "taylor22", "--format", "xml"], ["verify", "nosuch"]],
+    ids=["unknown-flag", "no-command", "bad-choice", "unknown-suite"],
+)
+def test_usage_error_exits_1_with_one_error_line(capsys, argv):
+    assert run_cli(*argv) == 1
+    assert _one_error_line(capsys.readouterr())
+
+
+def test_unwritable_report_exits_1_with_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert run_cli("verify", "hyperbolicity", "--samples", "10", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert _one_error_line(captured) and str(out) in captured.err
 
 
 @pytest.mark.parametrize(
@@ -495,6 +563,5 @@ def test_fronttrack_non_finite_input_exits_1_writing_nothing(tmp_path, capsys, j
     out = ["--out", str(tmp_path / "run")]
     assert run_cli("fronttrack", "--scenario", str(scenario), *out, *argv) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ") and named in captured.err
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert _one_error_line(captured) and named in captured.err
     assert list(tmp_path.glob("run_*")) == []

@@ -38,6 +38,12 @@ def test_model_params_range():
         ModelParams(float("nan"))
 
 
+@pytest.mark.parametrize("eta", [-0.1, 0.25, float("nan")])
+def test_model_params_raises_domain_error(eta):
+    with pytest.raises(DomainError, match=r"eta must lie in \[0, 1/4\), got " + repr(eta)):
+        ModelParams(eta)
+
+
 def test_flux_vanishes_at_origin():
     assert np.array_equal(fx.flux(np.zeros(3), ModelParams(0.0)), np.zeros(3))
 

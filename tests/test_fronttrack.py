@@ -128,6 +128,24 @@ def test_jump_positions_must_be_finite_and_increasing(xs):
         ft.burgers_oracle(0.0, [(x, 0.1) for x in xs], 1.0)
 
 
+@pytest.mark.parametrize(
+    "t_end, delta, message",
+    [
+        (np.nan, 1e-3, "t_end must be finite and above 0, got nan"),
+        (np.inf, 1e-3, "t_end must be finite and above 0, got inf"),
+        (-np.inf, 1e-3, "t_end must be finite and above 0, got -inf"),
+        (-1.0, 1e-3, "t_end must be finite and above 0, got -1.0"),
+        (0.0, 1e-3, "t_end must be finite and above 0, got 0.0"),
+        (1.0, 0.0, "delta must be positive, got 0.0"),
+        (1.0, -1.0, "delta must be positive, got -1.0"),
+        (1.0, np.nan, "delta must be positive, got nan"),
+    ],
+)
+def test_burgers_oracle_checks_t_end_and_delta(t_end, delta, message):
+    with pytest.raises(DomainError, match=message):
+        ft.burgers_oracle(0.5, [(0.0, 0.1), (0.4, -0.3)], t_end, delta=delta)
+
+
 def test_collision_time_head_on():
     st = kinematic_state([make_plain_front(0, -1.0, 1.0), make_plain_front(1, 1.0, -1.0)])
     cand = ft.next_collision(st)

@@ -2,17 +2,21 @@
 
 Exit codes: 0 all checks passed, 1 check failure or bad input (one `error:`
 line: a usage error, a malformed flag or file, an unwritable output), 2
-numeric breakdown.  Scenario files are JSON with the sections and keys of
-`_SETTINGS` and an optional schema_version "1".  A setting is its flag, else
-the file's value, else its default; a flag's string converts exactly like the
-file's value, and a missing required value, or one that does not convert to
-its default's type, exits 1 naming the key.  Reports are CSV (header row; TSV
-on request), trajectories TSV, single-fan dumps JSON.
+numeric breakdown.  Output paths are checked before any work, so a bad one
+exits 1 with nothing printed or written.  Scenario files are JSON with the
+sections and keys of `_SETTINGS` and an optional schema_version "1".  A
+setting is its flag, else the file's value, else its default; a flag's
+string converts exactly like the file's value, and a missing required value,
+or one that does not convert to its default's type, exits 1 naming the key.
+Reports are CSV (header row; TSV on request), trajectories TSV, single-fan
+dumps JSON.
 """
 
 import argparse
 import csv
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -131,6 +135,21 @@ def _settings(args, scenario, section, **defaults):
     })
 
 
+def _check_out_paths(*paths):
+    """Raise OSError unless every output path names a file in an existing directory.
+
+    Called before any work, so that a bad path exits 1 with nothing printed
+    or written.  None and "-" stand for stdout.
+    """
+    for path in paths:
+        if path in (None, "-"):
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _open_out(path):
     if path in (None, "-"):
         return sys.stdout, False
@@ -196,6 +215,7 @@ def cmd_riemann(args, scenario):
             raise DomainError(f"{name} state violates |U| < 1: {U.tolist()}")
     if cfg.sample < 0:
         raise DomainError(f"sample must be >= 0, got {cfg.sample}")
+    _check_out_paths(args.out, args.sample_out if cfg.sample else None)
     params = ModelParams(cfg.eta)
     fan = solve_riemann(cfg.ul, cfg.ur, params)
 
@@ -411,6 +431,7 @@ def cmd_verify(args, scenario):
         raise DomainError(f"verify suite must be one of {VERIFY_SUITES}, got {which!r}")
     run, defaults = _SUITES[which]
     cfg = _settings(args, scenario, "verify", **defaults)
+    _check_out_paths(args.out)
     params = ModelParams(cfg.eta)
     records = run(cfg, params)
 
@@ -434,6 +455,9 @@ def cmd_verify(args, scenario):
 
 def cmd_fronttrack(args, scenario):
     cfg = _settings(args, scenario, "fronttrack")
+    if args.out:
+        _check_out_paths(*(f"{args.out}_{name}"
+                           for name in ("events.csv", "trajectories.tsv", "observables.csv")))
     params = ModelParams(cfg.eta)
     st = ft.init_from_piecewise(cfg.jumps, cfg.u_left, params, delta=cfg.delta)
     try:

@@ -15,22 +15,26 @@ the two waves pass through each other with unchanged strengths.  Since
 lambda_1 depends only on alpha and lambda_3 only on beta, their speeds are
 unchanged in exact arithmetic as well, for shocks, for eta = 0 contacts and
 for rarefaction pieces, which move at the speed of their left edge.  So the
-crossing copies each front with its family, kind, strength and speed, and
-computes only the new middle state U_L + (U_R - U_M).
+crossing keeps each front's family, kind, strength and speed and computes
+only the new middle state U_L + (U_R - U_M): it writes the two outgoing rows
+and the totals' terms from the incoming rows, in Python floats, without a
+Riemann solve or a gather from the fronts.
 
 Besides the list of live fronts, a `TrackerState` keeps one C-contiguous
 (n, 14) float block of rows for them, `_rows`, in the order of the list.
 The columns of a front's row are its left state (0:3), its right state
 (3:6), birth_x, speed, birth_t, the intercept birth_x - speed * birth_t,
 |right| (`np.linalg.norm`) and |right - left| (11:14); the column constants
-below are the only code that knows this layout.  `next_collision` reads
+below and the two rows `_cross` writes are the only code that knows this
+layout.  `next_collision` reads
 the block instead of gathering from every front at every event.  Next to it
 the state keeps running totals of the block: the total variation, the two
 sums over neighbour pairs whose combination P + Q t is the hull integral
 (see `observables`) and the max |right|.  `_splice` is the one place that
 changes the front list: `init_from_piecewise` and `resolve_collision`
-replace fronts, rows and the totals' terms through it, computing rows only
-for the new fronts and terms only for the rows next to the splice, and
+replace fronts, rows and the totals' terms through it, with rows only for
+the new fronts (handed over by a crossing, gathered from the fronts
+otherwise) and terms only for the rows next to the splice, and
 `observables` reads the totals in O(1).  So an event costs O(k) Python work
 for k fronts in and out, observables included.  What still grows with the
 front count is numpy work: `next_collision`'s pass over the block, a copy
@@ -47,7 +51,7 @@ and the system's fronts carry that speed bit for bit, so the v-projection of
 the system run must reproduce it exactly.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -333,60 +337,79 @@ def _classify_event(families) -> str:
     return "other"
 
 
-def _pass_through(st: TrackerState, f3: Front, f1: Front, x: float, t: float) -> list:
-    """The 1-front and the 3-front leaving the crossing of f3 (left) and f1 (right).
-
-    With U_L -> U_M -> U_R the incoming states, only U_M' = U_L + (U_R - U_M)
-    is computed: each front is copied with its family, kind, strength and
-    speed (see the module docstring) and born at (x, t) between its new states.
-    """
-    U_left, U_right = f3.left, f1.right
-    U_mid = U_left + (U_right - f1.left)
-    return [
-        replace(f1, uid=st.new_uid(), left=U_left, right=U_mid, birth_x=x, birth_t=t),
-        replace(f3, uid=st.new_uid(), left=U_mid, right=U_right, birth_x=x, birth_t=t),
-    ]
-
-
 def resolve_collision(st: TrackerState, candidate: CollisionCandidate) -> TrackerState:
     """Replace the colliding fronts with the fan of the outer states.
 
     Exactly two incoming fronts, of family 3 then family 1, pass through
-    each other (see the module docstring): the outgoing 1-front and 3-front
-    are copies of the incoming ones, with their family, kind, strength and
-    speed, and only the middle state U_L + (U_R - U_M) is computed.  Every
-    other collision is resolved by `solve_riemann`.
-    In both cases the left state is kept and the right neighbour's left state
-    stays exactly shared across the event.  The outgoing fronts and their
-    rows replace the incoming ones through `_splice`.
+    each other (see the module docstring) in `_cross`, from their rows and
+    without a Riemann solve.  Every other collision is resolved by
+    `solve_riemann`.  In both cases the left state is kept and the right
+    neighbour's left state stays exactly shared across the event.  The
+    outgoing fronts and their rows replace the incoming ones through
+    `_splice`.
     """
-    incoming = [st.fronts[i] for i in candidate.indices]
+    indices = candidate.indices
+    incoming = [st.fronts[i] for i in indices]
     x, t = candidate.position, candidate.time
     if [f.family for f in incoming] == [3, 1]:
-        new_fronts = _pass_through(st, *incoming, x, t)
+        f3, f1 = incoming
+        _cross(st, indices[0], f3, f1, x, t)
+        incoming_terms = ((3, f3.strength), (1, f1.strength))
+        outgoing = ((1, f1.strength, f1.kind, f1.speed), (3, f3.strength, f3.kind, f3.speed))
+        classification = "other"
     else:
         U_right = incoming[-1].right
         fan = solve_riemann(incoming[0].left, U_right, st.params.model)
         new_fronts = _fan_fronts(st, fan, U_right, x, t)
+        _splice(st, indices[0], indices[-1] + 1, new_fronts)
+        incoming_terms = tuple((f.family, f.strength) for f in incoming)
+        outgoing = tuple((f.family, f.strength, f.kind, f.speed) for f in new_fronts)
+        classification = _classify_event([f.family for f in incoming])
     for f in incoming:
-        f.death_t = candidate.time
+        f.death_t = t
     st.dead_fronts.extend(incoming)
-    _splice(st, candidate.indices[0], candidate.indices[-1] + 1, new_fronts)
-    st.time = candidate.time
+    st.time = t
     st.event_log.append(
-        CollisionEvent(
-            index=len(st.event_log),
-            time=candidate.time,
-            position=candidate.position,
-            incoming_ids=candidate.front_ids,
-            incoming=tuple((f.family, f.strength) for f in incoming),
-            outgoing=tuple(
-                (f.family, f.strength, f.kind, f.speed) for f in new_fronts
-            ),
-            classification=_classify_event([f.family for f in incoming]),
-        )
+        CollisionEvent(len(st.event_log), t, x, candidate.front_ids, incoming_terms, outgoing,
+                       classification)
     )
     return st
+
+
+def _cross(st: TrackerState, i: int, f3: Front, f1: Front, x: float, t: float) -> None:
+    """Pass f3 = st.fronts[i] and f1 = st.fronts[i + 1] through each other at (x, t).
+
+    With U_L -> U_M -> U_R the incoming states, read from one `tolist` of
+    their rows and the neighbour rows, only U_M' = U_L + (U_R - U_M) is
+    computed, in the Python floats that give the bits of the numpy
+    expression.  The outgoing 1-front and 3-front keep the family, kind,
+    strength and speed of the incoming one of their family (see the module
+    docstring); the 1-front keeps U_L's array and the 3-front U_R's, and
+    they share one new array for U_M'.  Their rows are the values
+    `_rows_for` would compute: the 3-front's |right| is the 1-front's old
+    norm column, |U_M'| is `np.linalg.norm` of the new array, and both jumps
+    are taken afresh.  The outgoing fronts replace the incoming ones through
+    `_splice`, which takes their rows and the held block.
+    """
+    rows = _front_rows(st)
+    lo = max(i - 1, 0)
+    block = rows[lo : i + 3].tolist()
+    r3, r1 = block[i - lo], block[i - lo + 1]
+    lu, lv, lw = r3[_LEFT]
+    mu, mv, mw = r1[_LEFT]
+    ru, rv, rw = r1[_RIGHT]
+    nu, nv, nw = lu + (ru - mu), lv + (rv - mv), lw + (rw - mw)
+    U_mid = np.array((nu, nv, nw))
+    s1, s3 = r1[_SPEED], r3[_SPEED]
+    f1_out = Front(st.new_uid(), f1.family, f1.kind, f1.strength, f3.left, U_mid, f1.speed, x, t)
+    f3_out = Front(st.new_uid(), f3.family, f3.kind, f3.strength, U_mid, f1.right, f3.speed, x, t)
+    new_rows = [
+        [lu, lv, lw, nu, nv, nw, x, s1, t, x - s1 * t, float(np.linalg.norm(U_mid)),
+         abs(nu - lu), abs(nv - lv), abs(nw - lw)],
+        [nu, nv, nw, ru, rv, rw, x, s3, t, x - s3 * t, r1[_NORM],
+         abs(ru - nu), abs(rv - nv), abs(rw - nw)],
+    ]
+    _splice(st, i, i + 2, [f1_out, f3_out], (block, new_rows))
 
 
 # columns of a front's row in `TrackerState._rows`; the Python-float loops of
@@ -421,7 +444,7 @@ def _rows_for(fronts: list) -> np.ndarray:
 def _rebuild_rows(st: TrackerState) -> None:
     """Compute the row block of st.fronts and its running totals afresh."""
     st._rows, st._rows_of = _rows_for(st.fronts), st.fronts
-    st._totals, st._max_norm = _range_terms(st._rows, 0, len(st._rows))
+    st._totals, st._max_norm = _range_terms(st._rows.tolist(), 0, len(st._rows))
 
 
 def _front_rows(st: TrackerState) -> np.ndarray:
@@ -436,21 +459,21 @@ def _front_rows(st: TrackerState) -> np.ndarray:
     return st._rows
 
 
-def _range_terms(rows: np.ndarray, start: int, stop: int) -> tuple:
-    """The terms of rows[start:stop] in the running totals, and their max |right|.
+def _range_terms(block: list, start: int, stop: int) -> tuple:
+    """The terms of the rows block[start:stop] in the running totals, and their max |right|.
 
+    `block` is a list of rows as Python float lists: the range, with at most
+    one neighbour row on each side (the row before it when start is 1).
     The terms are 9 Python floats: the sum of the |right - left| columns of
     the range, then P = sum (b' - b) right and Q = sum (lambda' - lambda) right
-    over every adjacent pair with a row in the range, where b is the
-    intercept column, lambda the speed column and right the left row's right
-    state, and the primes mark the right row.  An empty range still has the
-    pair that straddles it.  The max is -inf for an empty range.
+    over every adjacent pair of the block, where b is the intercept column,
+    lambda the speed column and right the left row's right state, and the
+    primes mark the right row.  An empty range still has the pair that
+    straddles it.  The max is -inf for an empty range.
     """
-    lo = max(start - 1, 0)
-    block = rows[lo : stop + 1].tolist()
     tv_u = tv_v = tv_w = p_u = p_v = p_w = q_u = q_v = q_w = 0.0
     max_norm = -np.inf
-    for r in block[start - lo : stop - lo]:
+    for r in block[start:stop]:
         tv_u += r[_JUMP_U]
         tv_v += r[_JUMP_V]
         tv_w += r[_JUMP_W]
@@ -468,31 +491,42 @@ def _range_terms(rows: np.ndarray, start: int, stop: int) -> tuple:
     return [tv_u, tv_v, tv_w, p_u, p_v, p_w, q_u, q_v, q_w], max_norm
 
 
-def _splice(st: TrackerState, start: int, stop: int, new_fronts: list) -> None:
+def _splice(st: TrackerState, start: int, stop: int, new_fronts: list,
+            held: tuple | None = None) -> None:
     """Replace st.fronts[start:stop] with new_fronts, their rows and their totals.
 
-    The only code that changes the front list.  Rows are computed for the
-    new fronts only, by `_rows_for`.  When as many fronts leave as arrive,
-    as in a 1-3 crossing, the new rows are written into the block in place;
-    otherwise the block is concatenated once.  It stays C-contiguous and
-    bit-equal to the block `_rebuild_rows` would compute.
+    The only code that changes the front list.  `held` is (block, new_rows)
+    when the caller already holds them, as `_cross` does: block is
+    `rows[max(start - 1, 0) : stop + 1].tolist()` and new_rows the new
+    fronts' rows as Python float lists.  Otherwise the rows are
+    computed for the new fronts only, by `_rows_for`.  When as many fronts
+    leave as arrive, as in a 1-3 crossing, the new rows are written into the
+    block in place; otherwise the block is concatenated once.  It stays
+    C-contiguous and bit-equal to the block `_rebuild_rows` would compute.
 
     The running totals lose the `_range_terms` of the old range and gain
-    those of the new one, O(k) Python float work; a splice of the whole
-    block keeps only the new terms, so an emptied list has zero totals.  The
-    max |right| is taken again from the norm column only when a removed row
-    held it.
+    those of the new one, both taken from the one held block, O(k) Python
+    float work; a splice of the whole block keeps only the new terms, so an
+    emptied list has zero totals.  The max |right| is taken again from the
+    norm column only when a removed row held it.
     """
     rows = _front_rows(st)
-    new = _rows_for(new_fronts)
+    lo = max(start - 1, 0)
+    if held is None:
+        new = _rows_for(new_fronts)
+        block, new_rows = rows[lo : stop + 1].tolist(), new.tolist()
+    else:
+        block, new_rows = held
+        new = new_rows
     whole = start == 0 and stop == len(rows)
-    old_terms, old_max = _range_terms(rows, start, stop)
-    if stop - start == len(new_fronts):
+    old_terms, old_max = _range_terms(block, start - lo, stop - lo)
+    block[start - lo : stop - lo] = new_rows
+    terms, max_norm = _range_terms(block, start - lo, start - lo + len(new_rows))
+    if stop - start == len(new_rows):
         rows[start:stop] = new
     else:
         st._rows = rows = np.concatenate((rows[:start], new, rows[stop:]))
     st.fronts[start:stop] = new_fronts
-    terms, max_norm = _range_terms(rows, start, start + len(new_fronts))
     if not whole:
         terms = [total - old + term for total, old, term in zip(st._totals, old_terms, terms)]
         if old_max >= st._max_norm:

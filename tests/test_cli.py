@@ -478,6 +478,40 @@ def test_unwritable_report_exits_1_with_one_error_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "out, sample_out, named",
+    [
+        ("missing/fan.json", "p.csv", "missing/fan.json"),
+        ("fan.json", "missing/p.csv", "missing/p.csv"),
+        (".", "p.csv", "."),
+    ],
+    ids=["out-dir-missing", "sample-out-dir-missing", "out-is-a-directory"],
+)
+def test_riemann_bad_output_path_exits_1_before_any_output(
+    tmp_path, capsys, monkeypatch, out, sample_out, named
+):
+    solves = []
+    monkeypatch.setattr(cli, "solve_riemann", lambda *args: solves.append(args))
+    argv = ["riemann", "--ul", "0.1,0,0", "--ur", "0.2,0,0", "--sample", "3"]
+    paths = ["--out", str(tmp_path / out), "--sample-out", str(tmp_path / sample_out)]
+    assert run_cli(*argv, *paths) == 1
+    captured = capsys.readouterr()
+    assert _one_error_line(captured) and f"'{tmp_path / named}'" in captured.err
+    assert solves == [] and list(tmp_path.iterdir()) == []
+
+
+def test_fronttrack_bad_out_prefix_exits_1_before_the_run(tmp_path, capsys, monkeypatch):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"fronttrack": _TRACK}))
+    runs = []
+    monkeypatch.setattr(ft, "run", lambda *args, **kwargs: runs.append(args))
+    prefix = tmp_path / "missing" / "run"
+    assert run_cli("fronttrack", "--scenario", str(scenario), "--out", str(prefix)) == 1
+    captured = capsys.readouterr()
+    assert _one_error_line(captured) and f"{prefix}_events.csv" in captured.err
+    assert runs == [] and sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+@pytest.mark.parametrize(
     "suite", ["hyperbolicity", "gnl", "bounds12", "pattern22", "contraction"]
 )
 def test_verify_negative_seed_exits_1(capsys, suite):

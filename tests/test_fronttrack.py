@@ -862,6 +862,97 @@ def test_observables_after_a_cancellation_between_other_fronts():
     _assert_observables_equal_loop(st)
 
 
+def test_max_state_norm_after_a_crossing_removes_the_middle_state_holding_it():
+    # U_M, between the 3-front and the 1-front, is the largest state, and the
+    # crossing replaces it with the smaller U_L + (U_R - U_M)
+    params = ModelParams(0.05)
+    U0 = np.array([0.1, 0.2, -0.1])
+    UL = wc.wave_fan_curve(2, U0, -0.02, params).state
+    UM = wc.wave_fan_curve(3, UL, 0.05, params).state
+    UR = wc.wave_fan_curve(1, UM, -0.05, params).state
+    UE = wc.wave_fan_curve(2, UR, -0.02, params).state
+    jumps = [(-0.8, UL), (-0.1, UM), (0.1, UR), (0.8, UE)]
+    st = ft.init_from_piecewise(jumps, U0, params, delta=0.1)
+    assert [f.family for f in st.fronts] == [2, 3, 1, 2]
+    before = _assert_observables_equal_loop(st)
+    assert before.max_state_norm == float(np.linalg.norm(UM))
+    cand = ft.next_collision(st)
+    assert cand.indices == (1, 2)
+    ft.resolve_collision(st, cand)
+    assert [f.family for f in st.fronts] == [2, 1, 3, 2]
+    after = _assert_observables_equal_loop(st)
+    assert after.max_state_norm < before.max_state_norm
+    _assert_rows_fresh(st)
+
+
+@pytest.mark.parametrize(
+    "layout, first",
+    [
+        ([(3, 0.01), (1, -0.01), (2, -0.01)], 0),
+        ([(2, -0.01), (3, 0.01), (1, -0.01)], 1),
+        ([(3, 0.01), (1, -0.01)], 0),
+    ],
+    ids=["first-pair", "last-pair", "only-pair"],
+)
+def test_crossing_at_an_end_of_the_list_keeps_rows_and_totals(layout, first):
+    # the crossing's block of its two rows and their neighbours is clipped at the list's end
+    params = ModelParams(0.05)
+    U0 = np.array([0.1, 0.2, -0.1])
+    jumps = _seeded_jumps(np.random.default_rng(3), U0, layout, params)
+    st = ft.init_from_piecewise(jumps, U0, params)
+    assert [f.family for f in st.fronts] == [fam for fam, _ in layout]
+    cand = ft.next_collision(st)
+    assert cand.indices == (first, first + 1)
+    ft.resolve_collision(st, cand)
+    assert [f.family for f in st.fronts[first : first + 2]] == [1, 3]
+    fresh = ft._rows_for(st.fronts)
+    assert st._rows.flags.c_contiguous and st._rows.tobytes() == fresh.tobytes()
+    totals, max_norm = ft._range_terms(fresh.tolist(), 0, len(fresh))
+    tol = OBSERVABLES_TOL * (1.0 + np.abs(totals))
+    assert np.all(np.abs(np.subtract(st._totals, totals)) <= tol)
+    assert st._max_norm == max_norm
+    _assert_observables_equal_loop(st)
+
+
+def test_crossings_make_no_riemann_solve_and_no_row_gather(monkeypatch):
+    # at eta = 0 the outer waves are contacts: two 3-fronts stay parallel, and so
+    # do two 1-fronts, so they make four 1-3 crossings and nothing else
+    params = ModelParams(0.0)
+    U0 = np.array([0.1, 0.2, -0.1])
+    layout = [(3, 0.01), (3, 0.02), (1, -0.01), (1, -0.02)]
+    jumps = _seeded_jumps(np.random.default_rng(4), U0, layout, params)
+    st = ft.init_from_piecewise(jumps, U0, params)
+    calls = []
+
+    def count(name):
+        fn = getattr(ft, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(ft, name, counted)
+
+    count("_rows_for")
+    count("solve_riemann")
+    while (cand := ft.next_collision(st)) is not None:
+        f3, f1 = (st.fronts[i] for i in cand.indices)
+        assert (f3.family, f1.family) == (3, 1)
+        ft.resolve_collision(st, cand)
+        assert st.event_log[-1] == ft.CollisionEvent(
+            index=len(st.event_log) - 1,
+            time=cand.time,
+            position=cand.position,
+            incoming_ids=cand.front_ids,
+            incoming=((3, f3.strength), (1, f1.strength)),
+            outgoing=((1, f1.strength, f1.kind, f1.speed), (3, f3.strength, f3.kind, f3.speed)),
+            classification="other",
+        )
+        ft.observables(st)
+    assert len(st.event_log) == 4 and calls == []
+    _assert_rows_fresh(st)
+
+
 # --- scalar oracle ----------------------------------------------------------
 
 

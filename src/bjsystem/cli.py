@@ -215,6 +215,9 @@ def cmd_riemann(args, scenario):
             raise DomainError(f"{name} state violates |U| < 1: {U.tolist()}")
     if cfg.sample < 0:
         raise DomainError(f"sample must be >= 0, got {cfg.sample}")
+    for name, xi in (("xi_min", cfg.xi_min), ("xi_max", cfg.xi_max)):
+        if not np.isfinite(xi):
+            raise DomainError(f"{name} must be finite, got {xi}")
     _check_out_paths(args.out, args.sample_out if cfg.sample else None)
     params = ModelParams(cfg.eta)
     fan = solve_riemann(cfg.ul, cfg.ur, params)

@@ -5,7 +5,8 @@ each.  Rarefactions are discretized into pieces of strength at most delta,
 each moving at the characteristic speed of its left edge.  Front
 trajectories are stored as (birth position, birth time, speed) so
 intersection times come from the exact linear motion rather than mutated
-positions.
+positions.  A rarefaction that would need more than MAX_PIECES pieces is
+refused before any piece is built.
 
 A collision is resolved with the exact Riemann solver, except where a
 3-front meets a 1-front and nothing else: at a fixed v both outer wave
@@ -16,25 +17,24 @@ lambda_1 depends only on alpha and lambda_3 only on beta, their speeds are
 unchanged in exact arithmetic as well, for shocks, for eta = 0 contacts and
 for rarefaction pieces, which move at the speed of their left edge.  So the
 crossing keeps each front's family, kind, strength and speed and computes
-only the new middle state U_L + (U_R - U_M): it writes the two outgoing rows
-and the totals' terms from the incoming rows, in Python floats, without a
-Riemann solve or a gather from the fronts.
+only the new middle state U_L + (U_R - U_M), in Python floats, and the two
+outgoing rows, without a Riemann solve or a gather of rows from the fronts.
 
 Besides the list of live fronts, a `TrackerState` keeps one C-contiguous
 (n, 14) float block of rows for them, `_rows`, in the order of the list.
 The columns of a front's row are its left state (0:3), its right state
 (3:6), birth_x, speed, birth_t, the intercept birth_x - speed * birth_t,
 |right| (`np.linalg.norm`) and |right - left| (11:14); the column constants
-below and the two rows `_cross` writes are the only code that knows this
-layout.  `next_collision` reads
+below and `_row`, the only code that writes a row, are the only code that
+knows this layout.  `next_collision` reads
 the block instead of gathering from every front at every event.  Next to it
 the state keeps running totals of the block: the total variation, the two
 sums over neighbour pairs whose combination P + Q t is the hull integral
 (see `observables`) and the max |right|.  `_splice` is the one place that
 changes the front list: `init_from_piecewise` and `resolve_collision`
 replace fronts, rows and the totals' terms through it, with rows only for
-the new fronts (handed over by a crossing, gathered from the fronts
-otherwise) and terms only for the rows next to the splice, and
+the new fronts (made by the caller: two by `_cross`, or `_rows_for` of the
+new fronts) and terms only for the rows next to the splice, and
 `observables` reads the totals in O(1).  So an event costs O(k) Python work
 for k fronts in and out, observables included.  What still grows with the
 front count is numpy work: `next_collision`'s pass over the block, a copy
@@ -59,12 +59,14 @@ from .errors import ConvergenceError, DomainError, HyperbolicityError, TrackerEv
 from . import wavecurves as wc
 from .flux import ModelParams, as_state, eigenvalues
 from .flux import flux as flux_fn
-from .riemann import RAREFACTION, Wave, solve_riemann
+from .riemann import RAREFACTION, solve_riemann
 
 DELTA_DEFAULT = 1e-3
 MAX_EVENTS = 10000
 TOL_EVENT = 1e-12
 SPEED_TIE_TOL = 1e-14
+# most pieces one rarefaction may be split into (see `_piece_count`)
+MAX_PIECES = 100_000
 
 
 @dataclass(slots=True)
@@ -108,8 +110,15 @@ class TrackerParams:
     delta: float = DELTA_DEFAULT
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise DomainError(f"rarefaction piece size delta must be positive, got {self.delta}")
+        _check_delta(self.delta)
+
+
+def _check_delta(delta: float) -> None:
+    """Raise DomainError unless the rarefaction piece size is finite and positive."""
+    if not delta > 0.0:
+        raise DomainError(f"rarefaction piece size delta must be positive, got {delta}")
+    if delta == np.inf:
+        raise DomainError(f"rarefaction piece size delta must be finite, got {delta}")
 
 
 @dataclass
@@ -155,50 +164,45 @@ class ObservableRecord:
     balance: tuple
 
 
-def _front(st: TrackerState, wave, x: float, t: float) -> Front:
-    """One front born at (x, t) carrying the whole wave.
+def _piece_count(strength: float, delta: float, family: int) -> int:
+    """ceil(|strength| / delta) rarefaction pieces, at least 1 and at most MAX_PIECES.
 
-    A rarefaction moves at the family speed of its left edge.
+    Raises DomainError, before any piece is built, for a wave that needs more.
     """
-    return Front(
-        uid=st.new_uid(),
-        family=wave.family,
-        kind=wave.kind,
-        strength=wave.strength,
-        left=wave.left,
-        right=wave.right,
-        speed=float(wave.min_speed),
-        birth_x=x,
-        birth_t=t,
-    )
+    n_pieces = np.ceil(abs(strength) / delta)
+    if n_pieces > MAX_PIECES:
+        raise DomainError(
+            f"a {family}-rarefaction of strength {strength!r} needs {n_pieces:.3g} pieces of "
+            f"size delta = {delta!r}, more than {MAX_PIECES}"
+        )
+    return max(1, int(n_pieces))
 
 
 def _emit_fronts(st: TrackerState, wave, x: float, t: float) -> list:
     """Turn one fan wave into fronts born at (x, t).
 
-    A rarefaction is split into ceil(|s| / delta) pieces of equal strength,
-    each a `Wave` whose speed interval is the family's eigenvalue at its two
-    edges.  Each piece is integrated from the right state of the piece before
-    it, and the last piece ends on `wave.right` exactly.  The two outer
-    edges reuse the speeds the wave carries, so eigenvalues are computed at
-    the interior edges only.
+    A shock or contact is one front at the wave's speed.  A rarefaction is
+    split into ceil(|s| / delta) pieces of equal strength (`_piece_count`),
+    each moving at the family's eigenvalue at its left edge.  Each piece is
+    integrated from the right state of the piece before it, and the last
+    piece ends on `wave.right` exactly.  The first piece reuses the speed
+    the wave carries, so eigenvalues are computed at the interior edges
+    only.
     """
-    if wave.kind != RAREFACTION:
-        return [_front(st, wave, x, t)]
-    fam, model = wave.family, st.params.model
-    n_pieces = max(1, int(np.ceil(abs(wave.strength) / st.params.delta)))
+    fam, kind = wave.family, wave.kind
+    if kind != RAREFACTION:
+        return [Front(st.new_uid(), fam, kind, wave.strength, wave.left, wave.right,
+                      float(wave.speed), x, t)]
+    model = st.params.model
+    n_pieces = _piece_count(wave.strength, st.params.delta, fam)
     piece = wave.strength / n_pieces
     fronts = []
-    left, lam_left = wave.left, wave.speed[0]
-    for k in range(1, n_pieces + 1):
-        if k == n_pieces:
-            right, lam_right = wave.right, wave.speed[1]
-        else:
-            right = wc.rarefaction(fam, left, piece, model).state
-            lam_right = float(eigenvalues(right, model)[fam - 1])
-        piece_wave = Wave(fam, wave.kind, piece, left, right, (lam_left, lam_right))
-        fronts.append(_front(st, piece_wave, x, t))
-        left, lam_left = right, lam_right
+    left, speed = wave.left, float(wave.speed[0])
+    for _ in range(n_pieces - 1):
+        right = wc.rarefaction(fam, left, piece, model).state
+        fronts.append(Front(st.new_uid(), fam, kind, piece, left, right, speed, x, t))
+        left, speed = right, float(eigenvalues(right, model)[fam - 1])
+    fronts.append(Front(st.new_uid(), fam, kind, piece, left, wave.right, speed, x, t))
     return fronts
 
 
@@ -262,7 +266,7 @@ def init_from_piecewise(
         if new_fronts:
             current = U
         fronts.extend(new_fronts)
-    _splice(st, 0, 0, fronts)
+    _splice(st, 0, 0, fronts, _rows_for(fronts))
     return st
 
 
@@ -326,125 +330,117 @@ def next_collision(st: TrackerState) -> CollisionCandidate | None:
     )
 
 
-def _classify_event(families) -> str:
-    fams = sorted(families)
-    if fams == [2, 2]:
-        return "22"
-    if fams == [1, 2]:
-        return "12"
-    if fams == [2, 3]:
-        return "23"
-    return "other"
+# the class of an event by the families of its incoming fronts; any other event is "other"
+_EVENT_CLASSES = {(2, 2): "22", (1, 2): "12", (2, 1): "12", (2, 3): "23", (3, 2): "23"}
 
 
 def resolve_collision(st: TrackerState, candidate: CollisionCandidate) -> TrackerState:
     """Replace the colliding fronts with the fan of the outer states.
 
     Exactly two incoming fronts, of family 3 then family 1, pass through
-    each other (see the module docstring) in `_cross`, from their rows and
-    without a Riemann solve.  Every other collision is resolved by
-    `solve_riemann`.  In both cases the left state is kept and the right
-    neighbour's left state stays exactly shared across the event.  The
-    outgoing fronts and their rows replace the incoming ones through
-    `_splice`.
+    each other (see the module docstring): `_cross` returns the two outgoing
+    fronts and their rows without a Riemann solve.  Every other collision is
+    resolved by `solve_riemann`, and `_rows_for` gives the rows of its
+    fronts.  In both cases the left state is kept and the right neighbour's
+    left state stays exactly shared across the event; one `_splice` puts the
+    outgoing fronts and their rows in place of the incoming ones, and one
+    `CollisionEvent` records both kinds of event from the incoming and
+    outgoing fronts (a crossing is classified "other").
     """
     indices = candidate.indices
-    incoming = [st.fronts[i] for i in indices]
+    start, stop = indices[0], indices[-1] + 1
+    incoming = st.fronts[start:stop]
     x, t = candidate.position, candidate.time
-    if [f.family for f in incoming] == [3, 1]:
-        f3, f1 = incoming
-        _cross(st, indices[0], f3, f1, x, t)
-        incoming_terms = ((3, f3.strength), (1, f1.strength))
-        outgoing = ((1, f1.strength, f1.kind, f1.speed), (3, f3.strength, f3.kind, f3.speed))
-        classification = "other"
+    families = [f.family for f in incoming]
+    if families == [3, 1]:
+        new_fronts, new_rows = _cross(st, start, *incoming, x, t)
     else:
         U_right = incoming[-1].right
         fan = solve_riemann(incoming[0].left, U_right, st.params.model)
         new_fronts = _fan_fronts(st, fan, U_right, x, t)
-        _splice(st, indices[0], indices[-1] + 1, new_fronts)
-        incoming_terms = tuple((f.family, f.strength) for f in incoming)
-        outgoing = tuple((f.family, f.strength, f.kind, f.speed) for f in new_fronts)
-        classification = _classify_event([f.family for f in incoming])
+        new_rows = _rows_for(new_fronts)
+    _splice(st, start, stop, new_fronts, new_rows)
     for f in incoming:
         f.death_t = t
     st.dead_fronts.extend(incoming)
     st.time = t
-    st.event_log.append(
-        CollisionEvent(len(st.event_log), t, x, candidate.front_ids, incoming_terms, outgoing,
-                       classification)
-    )
+    st.event_log.append(CollisionEvent(
+        len(st.event_log), t, x, candidate.front_ids,
+        tuple([(f.family, f.strength) for f in incoming]),
+        tuple([(f.family, f.strength, f.kind, f.speed) for f in new_fronts]),
+        _EVENT_CLASSES.get(tuple(families), "other"),
+    ))
     return st
 
 
-def _cross(st: TrackerState, i: int, f3: Front, f1: Front, x: float, t: float) -> None:
-    """Pass f3 = st.fronts[i] and f1 = st.fronts[i + 1] through each other at (x, t).
+def _cross(st: TrackerState, i: int, f3: Front, f1: Front, x: float, t: float) -> tuple:
+    """The two fronts and rows that pass f3 = st.fronts[i] and f1 = st.fronts[i + 1] at (x, t).
 
-    With U_L -> U_M -> U_R the incoming states, read from one `tolist` of
-    their rows and the neighbour rows, only U_M' = U_L + (U_R - U_M) is
-    computed, in the Python floats that give the bits of the numpy
-    expression.  The outgoing 1-front and 3-front keep the family, kind,
-    strength and speed of the incoming one of their family (see the module
-    docstring); the 1-front keeps U_L's array and the 3-front U_R's, and
-    they share one new array for U_M'.  Their rows are the values
-    `_rows_for` would compute: the 3-front's |right| is the 1-front's old
-    norm column, |U_M'| is `np.linalg.norm` of the new array, and both jumps
-    are taken afresh.  The outgoing fronts replace the incoming ones through
-    `_splice`, which takes their rows and the held block.
+    With U_L -> U_M -> U_R the incoming states, read with `tolist` from the
+    fronts' arrays, only U_M' = U_L + (U_R - U_M) is computed, in the Python
+    floats that give the bits of the numpy expression.  The outgoing 1-front
+    and 3-front keep the family, kind, strength and speed of the incoming one
+    of their family (see the module docstring); the 1-front keeps U_L's
+    array and the 3-front U_R's, and they share one new array for U_M'.
+    Their rows come from `_row`: |U_M'| is `_norm` of the new array and the
+    3-front's |U_R| is the 1-front's norm column.  Returns
+    ([1-front, 3-front], their rows) for `_splice`.
     """
-    rows = _front_rows(st)
-    lo = max(i - 1, 0)
-    block = rows[lo : i + 3].tolist()
-    r3, r1 = block[i - lo], block[i - lo + 1]
-    lu, lv, lw = r3[_LEFT]
-    mu, mv, mw = r1[_LEFT]
-    ru, rv, rw = r1[_RIGHT]
-    nu, nv, nw = lu + (ru - mu), lv + (rv - mv), lw + (rw - mw)
-    U_mid = np.array((nu, nv, nw))
-    s1, s3 = r1[_SPEED], r3[_SPEED]
+    lu, lv, lw = left = f3.left.tolist()
+    mu, mv, mw = f1.left.tolist()
+    ru, rv, rw = right = f1.right.tolist()
+    mid = [lu + (ru - mu), lv + (rv - mv), lw + (rw - mw)]
+    U_mid = np.array(mid)
     f1_out = Front(st.new_uid(), f1.family, f1.kind, f1.strength, f3.left, U_mid, f1.speed, x, t)
     f3_out = Front(st.new_uid(), f3.family, f3.kind, f3.strength, U_mid, f1.right, f3.speed, x, t)
-    new_rows = [
-        [lu, lv, lw, nu, nv, nw, x, s1, t, x - s1 * t, float(np.linalg.norm(U_mid)),
-         abs(nu - lu), abs(nv - lv), abs(nw - lw)],
-        [nu, nv, nw, ru, rv, rw, x, s3, t, x - s3 * t, r1[_NORM],
-         abs(ru - nu), abs(rv - nv), abs(rw - nw)],
+    return [f1_out, f3_out], [
+        _row(left, mid, x, f1.speed, t, _norm(U_mid)),
+        _row(mid, right, x, f3.speed, t, _front_rows(st).item(i + 1, _NORM)),
     ]
-    _splice(st, i, i + 2, [f1_out, f3_out], (block, new_rows))
 
 
 # columns of a front's row in `TrackerState._rows`; the Python-float loops of
 # `_range_terms` name the u, v and w columns of the right state and the jump
-_LEFT, _RIGHT = slice(0, 3), slice(3, 6)
+_RIGHT = slice(3, 6)
 _RIGHT_U, _RIGHT_V, _RIGHT_W = range(3, 6)
 _BIRTH_X, _SPEED, _BIRTH_T, _INTERCEPT, _NORM = range(6, 11)
-_JUMP = slice(11, 14)
 _JUMP_U, _JUMP_V, _JUMP_W = range(11, 14)
 _N_COLS = 14
 
 
-def _rows_for(fronts: list) -> np.ndarray:
-    """(n, 14) rows for the fronts, in the columns above.
+def _row(left, right, x: float, speed: float, t: float, norm: float) -> list:
+    """The row of a front from `left` to `right` born at (x, t), as Python floats.
 
-    Each value is the float expression a loop over the fronts would take:
-    the intercept is birth_x - speed * birth_t, |right| is `np.linalg.norm`
-    of the state, and |right - left| is taken from the state columns.
+    The only code that writes a row.  `left` and `right` are three floats
+    each and `norm` is |right| by `_norm`, which the caller holds.  The
+    intercept is x - speed * t and each jump is `abs` of one component
+    difference: the bits of the numpy expressions.
     """
-    rows = np.array(
-        [
-            (*f.left.tolist(), *f.right.tolist(), f.birth_x, f.speed, f.birth_t,
-             f.birth_x - f.speed * f.birth_t, float(np.linalg.norm(f.right)), 0.0, 0.0, 0.0)
-            for f in fronts
-        ],
-        dtype=float,
-    ).reshape(-1, _N_COLS)
-    rows[:, _JUMP] = np.abs(rows[:, _RIGHT] - rows[:, _LEFT])
-    return rows
+    lu, lv, lw = left
+    ru, rv, rw = right
+    return [lu, lv, lw, ru, rv, rw, x, speed, t, x - speed * t, norm,
+            abs(ru - lu), abs(rv - lv), abs(rw - lw)]
+
+
+def _rows_for(fronts: list) -> list:
+    """The rows of the fronts, in the columns above."""
+    return [_row(f.left.tolist(), f.right.tolist(), f.birth_x, f.speed, f.birth_t, _norm(f.right))
+            for f in fronts]
+
+
+def _norm(U: np.ndarray) -> float:
+    """|U| with the bits of `np.linalg.norm(U)`, which is sqrt(U.dot(U)) for a state.
+
+    Half the cost of the call, which checks its arguments first.
+    """
+    return float(np.sqrt(U.dot(U)))
 
 
 def _rebuild_rows(st: TrackerState) -> None:
     """Compute the row block of st.fronts and its running totals afresh."""
-    st._rows, st._rows_of = _rows_for(st.fronts), st.fronts
-    st._totals, st._max_norm = _range_terms(st._rows.tolist(), 0, len(st._rows))
+    rows = _rows_for(st.fronts)
+    st._rows, st._rows_of = np.reshape(rows, (-1, _N_COLS)), st.fronts
+    st._totals, st._max_norm = _range_terms(rows, 0, len(rows))
 
 
 def _front_rows(st: TrackerState) -> np.ndarray:
@@ -491,41 +487,35 @@ def _range_terms(block: list, start: int, stop: int) -> tuple:
     return [tv_u, tv_v, tv_w, p_u, p_v, p_w, q_u, q_v, q_w], max_norm
 
 
-def _splice(st: TrackerState, start: int, stop: int, new_fronts: list,
-            held: tuple | None = None) -> None:
+def _splice(st: TrackerState, start: int, stop: int, new_fronts: list, new_rows: list) -> None:
     """Replace st.fronts[start:stop] with new_fronts, their rows and their totals.
 
-    The only code that changes the front list.  `held` is (block, new_rows)
-    when the caller already holds them, as `_cross` does: block is
-    `rows[max(start - 1, 0) : stop + 1].tolist()` and new_rows the new
-    fronts' rows as Python float lists.  Otherwise the rows are
-    computed for the new fronts only, by `_rows_for`.  When as many fronts
-    leave as arrive, as in a 1-3 crossing, the new rows are written into the
-    block in place; otherwise the block is concatenated once.  It stays
-    C-contiguous and bit-equal to the block `_rebuild_rows` would compute.
+    The only code that changes the front list.  new_rows are the new
+    fronts' rows from `_row`, as Python float lists; the block that the
+    totals need, `rows[max(start - 1, 0) : stop + 1]`, is read here with one
+    `tolist`.  When as many fronts leave as arrive, as in a 1-3 crossing,
+    the new rows are written into the block in place; otherwise the block
+    is concatenated once.  It stays C-contiguous and bit-equal to the block
+    `_rebuild_rows` would compute.
 
     The running totals lose the `_range_terms` of the old range and gain
-    those of the new one, both taken from the one held block, O(k) Python
-    float work; a splice of the whole block keeps only the new terms, so an
+    those of the new one, both taken from that one list, O(k) Python float
+    work; a splice of the whole block keeps only the new terms, so an
     emptied list has zero totals.  The max |right| is taken again from the
     norm column only when a removed row held it.
     """
     rows = _front_rows(st)
     lo = max(start - 1, 0)
-    if held is None:
-        new = _rows_for(new_fronts)
-        block, new_rows = rows[lo : stop + 1].tolist(), new.tolist()
-    else:
-        block, new_rows = held
-        new = new_rows
+    block = rows[lo : stop + 1].tolist()
     whole = start == 0 and stop == len(rows)
     old_terms, old_max = _range_terms(block, start - lo, stop - lo)
     block[start - lo : stop - lo] = new_rows
     terms, max_norm = _range_terms(block, start - lo, start - lo + len(new_rows))
-    if stop - start == len(new_rows):
-        rows[start:stop] = new
-    else:
-        st._rows = rows = np.concatenate((rows[:start], new, rows[stop:]))
+    if stop - start != len(new_rows):
+        st._rows = rows = np.concatenate((rows[:start], np.reshape(new_rows, (-1, _N_COLS)),
+                                          rows[stop:]))
+    elif new_rows:
+        rows[start:stop] = new_rows
     st.fronts[start:stop] = new_fronts
     if not whole:
         terms = [total - old + term for total, old, term in zip(st._totals, old_terms, terms)]
@@ -670,7 +660,7 @@ class ScalarFront:
     death_t: float | None = None
 
     def position(self, t: float) -> float:
-        return self.birth_x + self.speed * (t - self.birth_t)
+        return _position(self.birth_x, self.speed, self.birth_t, t)
 
 
 @dataclass
@@ -700,7 +690,7 @@ def _scalar_fronts(uid_start, v_left, v_right, x, t, delta):
         )
         uid += 1
     elif v_left < v_right:
-        n = max(1, int(np.ceil((v_right - v_left) / delta)))
+        n = _piece_count(v_right - v_left, delta, 2)
         step = (v_right - v_left) / n
         for k in range(n):
             a = v_left + k * step
@@ -708,6 +698,14 @@ def _scalar_fronts(uid_start, v_left, v_right, x, t, delta):
             fronts.append(ScalarFront(uid, 2.0 * a, a, b, x, t))
             uid += 1
     return fronts, uid
+
+
+def _scalar_meeting_time(a: ScalarFront, b: ScalarFront) -> float | None:
+    """When neighbours a and b meet: None unless a is faster by more than SPEED_TIE_TOL."""
+    dv = a.speed - b.speed
+    if dv <= SPEED_TIE_TOL:
+        return None
+    return ((b.birth_x - b.speed * b.birth_t) - (a.birth_x - a.speed * a.birth_t)) / dv
 
 
 def burgers_oracle(
@@ -725,8 +723,7 @@ def burgers_oracle(
     """
     if not (np.isfinite(t_end) and t_end > 0.0):
         raise DomainError(f"t_end must be finite and above 0, got {t_end}")
-    if not delta > 0.0:
-        raise DomainError(f"rarefaction piece size delta must be positive, got {delta}")
+    _check_delta(delta)
     _check_positions(jumps)
     fronts = []
     all_fronts = []
@@ -742,13 +739,8 @@ def burgers_oracle(
     while len(event_times) < MAX_EVENTS:
         best = None
         for i in range(len(fronts) - 1):
-            dv = fronts[i].speed - fronts[i + 1].speed
-            if dv <= SPEED_TIE_TOL:
-                continue
-            b_l = fronts[i].birth_x - fronts[i].speed * fronts[i].birth_t
-            b_r = fronts[i + 1].birth_x - fronts[i + 1].speed * fronts[i + 1].birth_t
-            t = (b_r - b_l) / dv
-            if t < time - TOL_EVENT:
+            t = _scalar_meeting_time(fronts[i], fronts[i + 1])
+            if t is None or t < time - TOL_EVENT:
                 continue
             t = max(t, time)
             if best is None or t < best[0] - TOL_EVENT or (
@@ -762,12 +754,7 @@ def burgers_oracle(
         # absorb any chain of simultaneous hits at the same point
         j = i + 1
         while j + 1 < len(fronts):
-            t_next = None
-            dv = fronts[j].speed - fronts[j + 1].speed
-            if dv > SPEED_TIE_TOL:
-                b_l = fronts[j].birth_x - fronts[j].speed * fronts[j].birth_t
-                b_r = fronts[j + 1].birth_x - fronts[j + 1].speed * fronts[j + 1].birth_t
-                t_next = (b_r - b_l) / dv
+            t_next = _scalar_meeting_time(fronts[j], fronts[j + 1])
             if t_next is not None and abs(t_next - t) <= TOL_EVENT:
                 j += 1
             else:

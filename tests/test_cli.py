@@ -406,6 +406,7 @@ _TRACK = {"u_left": [0.1, 0.0, -0.1], "jumps": [[0.0, [0.1, 0.1, -0.1]]]}
         ("verify", {"verify": {"which": "taylor22", "a": 0}}, "parameter a"),
         ("riemann", {"riemann": {"ul": [True, 0, 0], "ur": [0, 0, 0]}}, "'ul'"),
         ("fronttrack", {"fronttrack": {**_TRACK, "jumps": [[True, [0, 0, 0]]]}}, "'jumps'"),
+        ("fronttrack", {"fronttrack": {**_TRACK, "delta": 1e-12}}, "delta = 1e-12"),
     ],
 )
 def test_malformed_scenario_exits_1_naming_the_key(tmp_path, capsys, command, doc, named):
@@ -496,6 +497,23 @@ def test_riemann_bad_output_path_exits_1_before_any_output(
     assert run_cli(*argv, *paths) == 1
     captured = capsys.readouterr()
     assert _one_error_line(captured) and f"'{tmp_path / named}'" in captured.err
+    assert solves == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--xi-min", "nan"), ("--xi-max", "inf"), ("--xi-min", "-inf")]
+)
+def test_riemann_non_finite_xi_bound_exits_1_before_any_output(
+    tmp_path, capsys, monkeypatch, flag, value
+):
+    solves = []
+    monkeypatch.setattr(cli, "solve_riemann", lambda *args: solves.append(args))
+    fan_path = tmp_path / "fan.json"
+    argv = ["riemann", "--ul", "0.1,0,0", "--ur", "0.2,0,0", "--sample", "3", f"{flag}={value}"]
+    assert run_cli(*argv, "--out", str(fan_path)) == 1
+    captured = capsys.readouterr()
+    assert _one_error_line(captured)
+    assert captured.err == f"error: {flag[2:].replace('-', '_')} must be finite, got {value}\n"
     assert solves == [] and list(tmp_path.iterdir()) == []
 
 

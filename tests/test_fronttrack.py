@@ -139,11 +139,49 @@ def test_jump_positions_must_be_finite_and_increasing(xs):
         (1.0, 0.0, "delta must be positive, got 0.0"),
         (1.0, -1.0, "delta must be positive, got -1.0"),
         (1.0, np.nan, "delta must be positive, got nan"),
+        (1.0, np.inf, "delta must be finite, got inf"),
     ],
 )
 def test_burgers_oracle_checks_t_end_and_delta(t_end, delta, message):
     with pytest.raises(DomainError, match=message):
         ft.burgers_oracle(0.5, [(0.0, 0.1), (0.4, -0.3)], t_end, delta=delta)
+
+
+@pytest.mark.parametrize(
+    "delta, message",
+    [(np.inf, "finite, got inf"), (np.nan, "positive, got nan"), (0.0, "positive, got 0.0")],
+)
+def test_tracker_params_reject_a_delta_that_is_not_finite_and_positive(delta, message):
+    with pytest.raises(DomainError, match="rarefaction piece size delta must be " + message):
+        ft.TrackerParams(model=P0, delta=delta)
+
+
+def test_a_rarefaction_above_the_piece_limit_raises_before_any_piece(monkeypatch):
+    # delta = 1e-12 on a 5e-3 2-rarefaction asks for 5e9 pieces, above MAX_PIECES
+    params = ModelParams(1e-3)
+    U0 = np.array([0.2, 0.0, -0.2])
+    U1 = wc.rarefaction(2, U0, 5e-3, params).state
+    wave = rm._make_wave(2, 5e-3, U0, U1, params)
+    st = ft.TrackerState(
+        params=ft.TrackerParams(model=params, delta=1e-12),
+        time=0.0,
+        fronts=[],
+        left_boundary_state=U0,
+    )
+    message = r"2-rarefaction of strength 0\.005 needs 5e\+09 pieces of size delta = 1e-12"
+
+    def no_piece(*args, **kwargs):
+        raise AssertionError("a piece was built")
+
+    with monkeypatch.context() as patch:
+        for module, name in ((wc, "rarefaction"), (ft, "Front"), (ft, "ScalarFront")):
+            patch.setattr(module, name, no_piece)
+        with pytest.raises(DomainError, match=message):
+            ft._emit_fronts(st, wave, 0.0, 0.0)
+        with pytest.raises(DomainError, match=message):
+            ft.burgers_oracle(0.0, [(0.0, 5e-3)], 1.0, delta=1e-12)
+    with pytest.raises(DomainError, match=message):
+        ft.init_from_piecewise([(0.0, U1)], U0, params, delta=1e-12)
 
 
 def test_collision_time_head_on():
@@ -905,7 +943,7 @@ def test_crossing_at_an_end_of_the_list_keeps_rows_and_totals(layout, first):
     assert cand.indices == (first, first + 1)
     ft.resolve_collision(st, cand)
     assert [f.family for f in st.fronts[first : first + 2]] == [1, 3]
-    fresh = ft._rows_for(st.fronts)
+    fresh = np.array(ft._rows_for(st.fronts))
     assert st._rows.flags.c_contiguous and st._rows.tobytes() == fresh.tobytes()
     totals, max_norm = ft._range_terms(fresh.tolist(), 0, len(fresh))
     tol = OBSERVABLES_TOL * (1.0 + np.abs(totals))
@@ -935,6 +973,7 @@ def test_crossings_make_no_riemann_solve_and_no_row_gather(monkeypatch):
 
     count("_rows_for")
     count("solve_riemann")
+    count("_splice")
     while (cand := ft.next_collision(st)) is not None:
         f3, f1 = (st.fronts[i] for i in cand.indices)
         assert (f3.family, f1.family) == (3, 1)
@@ -949,7 +988,35 @@ def test_crossings_make_no_riemann_solve_and_no_row_gather(monkeypatch):
             classification="other",
         )
         ft.observables(st)
-    assert len(st.event_log) == 4 and calls == []
+    assert len(st.event_log) == 4 and calls == ["_splice"] * 4
+    _assert_rows_fresh(st)
+
+
+def test_every_event_makes_one_splice_and_gathers_rows_only_after_a_solve(monkeypatch):
+    # the rarefaction run mixes 1-3 crossings with solved crossings of 2-pieces
+    st = _rarefaction_run()
+    calls = []
+
+    def count(name):
+        fn = getattr(ft, name)
+
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(ft, name, counted)
+
+    for name in ("_rows_for", "_splice", "_cross"):
+        count(name)
+    kinds = set()
+    for _ in range(100):
+        cand = ft.next_collision(st)
+        crossing = [st.fronts[i].family for i in cand.indices] == [3, 1]
+        calls.clear()
+        ft.resolve_collision(st, cand)
+        assert calls == (["_cross", "_splice"] if crossing else ["_rows_for", "_splice"])
+        kinds.add(crossing)
+    assert kinds == {True, False}
     _assert_rows_fresh(st)
 
 

@@ -537,8 +537,29 @@ def _write_tracker_outputs(args, st, series):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Usage errors raise DomainError, and the token after a value flag is its value.
+
+    argparse takes a token that starts with `-` for a flag, so `--ul -0.1,0,0`
+    or `--xi-min -inf` would leave the flag without its value.  Each parser
+    joins every flag of its own that takes a value to the next token, as
+    `--ul=-0.1,0,0`, before argparse reads them.  A next token that is one of
+    the parser's flags, such as -h, is not joined, and neither is a value
+    flag with nothing after it: argparse reports those as before.
+    """
+
     def error(self, message):
         raise DomainError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        flags = self._option_string_actions
+        joined = []
+        for token in sys.argv[1:] if args is None else args:
+            action = flags.get(joined[-1]) if joined else None
+            if action is not None and action.nargs is None and token not in flags:
+                joined[-1] = f"{joined[-1]}={token}"
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
 
 
 def build_parser():

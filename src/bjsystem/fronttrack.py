@@ -5,8 +5,10 @@ each.  Rarefactions are discretized into pieces of strength at most delta,
 each moving at the characteristic speed of its left edge.  Front
 trajectories are stored as (birth position, birth time, speed) so
 intersection times come from the exact linear motion rather than mutated
-positions.  A rarefaction that would need more than MAX_PIECES pieces is
-refused before any piece is built.
+positions.  A tracker holds at most MAX_FRONTS live fronts: a wave whose
+fronts, a rarefaction's pieces or one shock or contact front, would take the
+fronts already live or emitted past that limit is refused before any of its
+fronts is built.
 
 A collision is resolved with the exact Riemann solver, except where a
 3-front meets a 1-front and nothing else: at a fixed v both outer wave
@@ -21,21 +23,22 @@ only the new middle state U_L + (U_R - U_M), in Python floats, and the two
 outgoing rows, without a Riemann solve or a gather of rows from the fronts.
 
 Besides the list of live fronts, a `TrackerState` keeps one C-contiguous
-(n, 14) float block of rows for them, `_rows`, in the order of the list.
-The columns of a front's row are its left state (0:3), its right state
-(3:6), birth_x, speed, birth_t, the intercept birth_x - speed * birth_t,
-|right| (`np.linalg.norm`) and |right - left| (11:14); the column constants
-below and `_row`, the only code that writes a row, are the only code that
-knows this layout.  `next_collision` reads
-the block instead of gathering from every front at every event.  Next to it
-the state keeps running totals of the block: the total variation, the two
-sums over neighbour pairs whose combination P + Q t is the hull integral
-(see `observables`) and the max |right|.  `_splice` is the one place that
-changes the front list: `init_from_piecewise` and `resolve_collision`
-replace fronts, rows and the totals' terms through it, with rows only for
-the new fronts (made by the caller: two by `_cross`, or `_rows_for` of the
-new fronts) and terms only for the rows next to the splice, and
-`observables` reads the totals in O(1).  So an event costs O(k) Python work
+(n, 11) float block of rows for them, `_rows`, in the order of the list.
+The columns of a front's row are its right state (0:3), birth_x, speed,
+birth_t, the intercept birth_x - speed * birth_t, |right|
+(`np.linalg.norm`) and |right - left| (8:11).  The block holds each state
+once: a row's left state is the previous row's right state, or the boundary
+state for the first row.  The column constants below and `_row`, the only
+code that writes a row, are the only code that knows this layout.
+`next_collision` reads the block instead of gathering from every front at
+every event.  Next to it the state keeps running totals of the block: the
+total variation, the two sums over neighbour pairs whose combination P + Q t
+is the hull integral (see `observables`) and the max |right|.  `_splice` is
+the one place that changes the front list: `init_from_piecewise` and
+`resolve_collision` replace fronts, rows and the totals' terms through it,
+with rows only for the new fronts (made by the caller: two by `_cross`, or
+`_rows_for` of the new fronts) and terms only for the rows next to the
+splice, and `observables` reads the totals in O(1).  So an event costs O(k) Python work
 for k fronts in and out, observables included.  What still grows with the
 front count is numpy work: `next_collision`'s pass over the block, a copy
 of the block when the front count changes, and a pass over the norm column
@@ -43,7 +46,9 @@ when the front holding the max leaves.  A hand-built state, a new list
 assigned to `st.fronts` or a change of its length makes the next reader
 rebuild the block and its totals.  A front edited in place elsewhere, or one
 put in the list in place of another, is picked up only after `st.fronts` is
-assigned a new list.
+assigned a new list.  The first front's left state is the boundary state
+array, so editing that array in place is such an edit for the first jump;
+`observables` reads the boundary state itself afresh at every call.
 
 A standalone scalar tracker for the decoupled v-component (flux v^2) serves
 as an independent oracle: 2-shock speeds are v_left + v_right for every eta,
@@ -51,6 +56,7 @@ and the system's fronts carry that speed bit for bit, so the v-projection of
 the system run must reproduce it exactly.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,8 +71,8 @@ DELTA_DEFAULT = 1e-3
 MAX_EVENTS = 10000
 TOL_EVENT = 1e-12
 SPEED_TIE_TOL = 1e-14
-# most pieces one rarefaction may be split into (see `_piece_count`)
-MAX_PIECES = 100_000
+# most live fronts of a run, and so most pieces of one rarefaction (see `_piece_count`)
+MAX_FRONTS = 100_000
 
 
 @dataclass(slots=True)
@@ -131,17 +137,13 @@ class TrackerState:
     dead_fronts: list = field(default_factory=list)
     truncated: bool = False
     _next_uid: int = 0
-    # the (n, 14) row block of `_rows_for` for the fronts of `_rows_of`, kept by `_splice`
+    # the (n, 11) row block of `_rows_for` for the fronts of `_rows_of`, kept by `_splice`
     _rows: np.ndarray | None = field(default=None, repr=False, compare=False)
     _rows_of: list | None = field(default=None, repr=False, compare=False)
     # running totals of the `_rows` block, kept by `_splice` (see `_range_terms`):
     # the total variation, P and Q (3 Python floats each) and the max |right|
     _totals: list | None = field(default=None, repr=False, compare=False)
     _max_norm: float = field(default=-np.inf, repr=False, compare=False)
-    # (U_bg, model, U_bg, F(U_bg) as float lists, |U_bg|) for the boundary state and model
-    _bg_terms: tuple | None = field(default=None, repr=False, compare=False)
-    # (U_far, model, F(U_far)) as float lists, for the last right state and model
-    _far_terms: tuple | None = field(default=None, repr=False, compare=False)
 
     def new_uid(self) -> int:
         uid = self._next_uid
@@ -164,22 +166,28 @@ class ObservableRecord:
     balance: tuple
 
 
-def _piece_count(strength: float, delta: float, family: int) -> int:
-    """ceil(|strength| / delta) rarefaction pieces, at least 1 and at most MAX_PIECES.
+def _piece_count(strength: float, delta: float, family: int, n_fronts: int,
+                 kind: str = RAREFACTION) -> int:
+    """How many fronts one wave of `kind` becomes, next to n_fronts other live fronts.
 
-    Raises DomainError, before any piece is built, for a wave that needs more.
+    A rarefaction becomes ceil(|strength| / delta) pieces, at least 1, and a
+    shock or contact one front.  Raises DomainError, before any front is
+    built, when they and the n_fronts fronts already live or emitted would
+    be more than MAX_FRONTS.
     """
-    n_pieces = np.ceil(abs(strength) / delta)
-    if n_pieces > MAX_PIECES:
+    n_pieces = np.ceil(abs(strength) / delta) if kind == RAREFACTION else 1
+    if n_fronts + n_pieces > MAX_FRONTS:
+        need = f"{n_pieces:.3g} pieces of size delta = {delta!r}" if n_pieces > 1 else "1 front"
         raise DomainError(
-            f"a {family}-rarefaction of strength {strength!r} needs {n_pieces:.3g} pieces of "
-            f"size delta = {delta!r}, more than {MAX_PIECES}"
+            f"a {family}-{kind} of strength {strength!r} needs {need}, which with the "
+            f"{n_fronts} fronts already live or emitted is more than the {MAX_FRONTS} fronts "
+            f"a run may hold"
         )
     return max(1, int(n_pieces))
 
 
-def _emit_fronts(st: TrackerState, wave, x: float, t: float) -> list:
-    """Turn one fan wave into fronts born at (x, t).
+def _emit_fronts(st: TrackerState, wave, x: float, t: float, n_fronts: int) -> list:
+    """Turn one fan wave into fronts born at (x, t), next to n_fronts other live fronts.
 
     A shock or contact is one front at the wave's speed.  A rarefaction is
     split into ceil(|s| / delta) pieces of equal strength (`_piece_count`),
@@ -190,11 +198,11 @@ def _emit_fronts(st: TrackerState, wave, x: float, t: float) -> list:
     only.
     """
     fam, kind = wave.family, wave.kind
+    n_pieces = _piece_count(wave.strength, st.params.delta, fam, n_fronts, kind)
     if kind != RAREFACTION:
         return [Front(st.new_uid(), fam, kind, wave.strength, wave.left, wave.right,
                       float(wave.speed), x, t)]
     model = st.params.model
-    n_pieces = _piece_count(wave.strength, st.params.delta, fam)
     piece = wave.strength / n_pieces
     fronts = []
     left, speed = wave.left, float(wave.speed[0])
@@ -206,13 +214,17 @@ def _emit_fronts(st: TrackerState, wave, x: float, t: float) -> list:
     return fronts
 
 
-def _fan_fronts(st: TrackerState, fan, U_right, x: float, t: float) -> list:
+def _fan_fronts(st: TrackerState, fan, U_right, x: float, t: float, n_fronts: int) -> list:
     """The fronts of every wave of `fan`, born at (x, t), the last ending on U_right.
 
-    Pinning the outermost state keeps the front chain exact: the solver
-    residual (~1e-16) moves into the last jump.
+    n_fronts other fronts stay live beside them, which `_piece_count` counts
+    against MAX_FRONTS with the fronts of the waves before.  Pinning the
+    outermost state keeps the front chain exact: the solver residual
+    (~1e-16) moves into the last jump.
     """
-    fronts = [f for wave in fan.waves for f in _emit_fronts(st, wave, x, t)]
+    fronts = []
+    for wave in fan.waves:
+        fronts += _emit_fronts(st, wave, x, t, n_fronts + len(fronts))
     if fronts:
         fronts[-1].right = U_right
     return fronts
@@ -262,7 +274,7 @@ def init_from_piecewise(
                 iterate=exc.iterate,
                 residual=exc.residual,
             ) from exc
-        new_fronts = _fan_fronts(st, fan, U, float(x), 0.0)
+        new_fronts = _fan_fronts(st, fan, U, float(x), 0.0, len(fronts))
         if new_fronts:
             current = U
         fronts.extend(new_fronts)
@@ -357,7 +369,7 @@ def resolve_collision(st: TrackerState, candidate: CollisionCandidate) -> Tracke
     else:
         U_right = incoming[-1].right
         fan = solve_riemann(incoming[0].left, U_right, st.params.model)
-        new_fronts = _fan_fronts(st, fan, U_right, x, t)
+        new_fronts = _fan_fronts(st, fan, U_right, x, t, len(st.fronts) - len(incoming))
         new_rows = _rows_for(new_fronts)
     _splice(st, start, stop, new_fronts, new_rows)
     for f in incoming:
@@ -401,24 +413,27 @@ def _cross(st: TrackerState, i: int, f3: Front, f1: Front, x: float, t: float) -
 
 # columns of a front's row in `TrackerState._rows`; the Python-float loops of
 # `_range_terms` name the u, v and w columns of the right state and the jump
-_RIGHT = slice(3, 6)
-_RIGHT_U, _RIGHT_V, _RIGHT_W = range(3, 6)
-_BIRTH_X, _SPEED, _BIRTH_T, _INTERCEPT, _NORM = range(6, 11)
-_JUMP_U, _JUMP_V, _JUMP_W = range(11, 14)
-_N_COLS = 14
+_RIGHT = slice(0, 3)
+_RIGHT_U, _RIGHT_V, _RIGHT_W = range(3)
+_BIRTH_X, _SPEED, _BIRTH_T, _INTERCEPT, _NORM = range(3, 8)
+_JUMP_U, _JUMP_V, _JUMP_W = range(8, 11)
+_N_COLS = 11
 
 
 def _row(left, right, x: float, speed: float, t: float, norm: float) -> list:
     """The row of a front from `left` to `right` born at (x, t), as Python floats.
 
-    The only code that writes a row.  `left` and `right` are three floats
-    each and `norm` is |right| by `_norm`, which the caller holds.  The
-    intercept is x - speed * t and each jump is `abs` of one component
-    difference: the bits of the numpy expressions.
+    The only code that writes a row: right, birth_x, speed, birth_t, the
+    intercept, |right| and |right - left|, 11 floats.  `left` and `right`
+    are three floats each and `norm` is |right| by `_norm`, which the caller
+    holds.  `left` enters only the jumps: the row keeps no left state, which
+    is the previous row's right state or, for the first row, the boundary
+    state.  The intercept is x - speed * t and each jump is `abs` of one
+    component difference: the bits of the numpy expressions.
     """
     lu, lv, lw = left
     ru, rv, rw = right
-    return [lu, lv, lw, ru, rv, rw, x, speed, t, x - speed * t, norm,
+    return [ru, rv, rw, x, speed, t, x - speed * t, norm,
             abs(ru - lu), abs(rv - lv), abs(rw - lw)]
 
 
@@ -444,7 +459,7 @@ def _rebuild_rows(st: TrackerState) -> None:
 
 
 def _front_rows(st: TrackerState) -> np.ndarray:
-    """The kept (n, 14) row block of st.fronts, in the columns of `_rows_for`.
+    """The kept (n, 11) row block of st.fronts, in the columns of `_rows_for`.
 
     The block and its totals are rebuilt if the block was built for another
     list than st.fronts or for another length, as after a hand-built state or
@@ -526,23 +541,17 @@ def _splice(st: TrackerState, start: int, stop: int, new_fronts: list, new_rows:
     st._totals, st._max_norm = terms, max_norm
 
 
-def _background(st: TrackerState) -> tuple:
-    """(U_bg, F(U_bg), |U_bg|) in Python floats, once per boundary state object and model."""
-    U_bg, model = st.left_boundary_state, st.params.model
-    bg = st._bg_terms
-    if bg is None or bg[0] is not U_bg or bg[1] is not model:
-        bg = st._bg_terms = (U_bg, model, U_bg.tolist(), flux_fn(U_bg, model).tolist(),
-                             float(np.linalg.norm(U_bg)))
-    return bg[2:]
+@functools.lru_cache
+def _flux_terms(u: float, v: float, w: float, eta: float) -> tuple:
+    """(F(U) as a tuple of Python floats, |U| by `_norm`) for U = (u, v, w) at eta.
 
-
-def _far_flux(st: TrackerState, U_far: list) -> list:
-    """F(U_far) as Python floats, computed once per far state value and model."""
-    model = st.params.model
-    far = st._far_terms
-    if far is None or far[0] != U_far or far[1] is not model:
-        far = st._far_terms = (U_far, model, flux_fn(np.array(U_far), model).tolist())
-    return far[2]
+    Cached by value, so `observables` computes F(U_bg), |U_bg| and F(U_far)
+    once per state and eta, and a state array edited in place gets the
+    terms of its new value.  Keyed by eta rather than the `ModelParams`,
+    whose hash is a Python call.
+    """
+    U = np.array([u, v, w])
+    return tuple(flux_fn(U, ModelParams(eta)).tolist()), _norm(U)
 
 
 def observables(st: TrackerState) -> ObservableRecord:
@@ -572,13 +581,14 @@ def observables(st: TrackerState) -> ObservableRecord:
     or the model, so a new boundary state needs no rebuild.  The total
     variation and max |U| are the kept total and maximum; x_first, x_last
     and U_far are read from the first and last row, and F(U_bg), |U_bg| and
-    F(U_far) are computed once per value (`_background`, `_far_flux`).  The
+    F(U_far) come from one cache keyed by value (`_flux_terms`).  The
     sums are added in event order rather than front order, so the total
     variation, integrals and balance differ from a loop over the fronts in
     the last bits; the max is exact.
     """
     rows = _front_rows(st)
-    U_bg, flux_bg, bg_norm = _background(st)
+    U_bg, eta = st.left_boundary_state.tolist(), st.params.model.eta
+    flux_bg, bg_norm = _flux_terms(*U_bg, eta)
     t = st.time
     tv, p, q = st._totals[:3], st._totals[3:6], st._totals[6:]
     if st.fronts:
@@ -587,7 +597,7 @@ def observables(st: TrackerState) -> ObservableRecord:
         x_last = _position(last[_BIRTH_X], last[_SPEED], last[_BIRTH_T], t)
         U_far = last[_RIGHT]
         integrals = [pk + qk * t - ub * (x_last - x_first) for pk, qk, ub in zip(p, q, U_bg)]
-        flux_far = _far_flux(st, U_far)
+        flux_far = _flux_terms(*U_far, eta)[0]
         balance = [
             integral - x_last * (uf - ub) + t * (ff - fb)
             for integral, uf, ub, ff, fb in zip(integrals, U_far, U_bg, flux_far, flux_bg)
@@ -680,8 +690,12 @@ class BurgersTrajectory:
         return sorted(out)
 
 
-def _scalar_fronts(uid_start, v_left, v_right, x, t, delta):
-    """Fronts for a single scalar jump: shock if decreasing, else split fan."""
+def _scalar_fronts(uid_start, v_left, v_right, x, t, delta, n_fronts):
+    """Fronts for a single scalar jump: shock if decreasing, else split fan.
+
+    A fan's pieces and the n_fronts other live fronts count against MAX_FRONTS
+    (`_piece_count`); a scalar shock never adds to the count.
+    """
     fronts = []
     uid = uid_start
     if v_left > v_right:
@@ -690,7 +704,7 @@ def _scalar_fronts(uid_start, v_left, v_right, x, t, delta):
         )
         uid += 1
     elif v_left < v_right:
-        n = _piece_count(v_right - v_left, delta, 2)
+        n = _piece_count(v_right - v_left, delta, 2, n_fronts)
         step = (v_right - v_left) / n
         for k in range(n):
             a = v_left + k * step
@@ -718,8 +732,8 @@ def burgers_oracle(
 
     `jumps` lists (x, v) with the value to the right of each position; shocks
     move at v_left + v_right, rarefactions are split with the same delta rule
-    as the system tracker.  It stops after MAX_EVENTS events.  t_end must be
-    finite and above 0, and delta above 0.
+    and front limit as the system tracker.  It stops after MAX_EVENTS events.
+    t_end must be finite and above 0, and delta above 0.
     """
     if not (np.isfinite(t_end) and t_end > 0.0):
         raise DomainError(f"t_end must be finite and above 0, got {t_end}")
@@ -730,7 +744,7 @@ def burgers_oracle(
     uid = 0
     current = float(v_leftmost)
     for x, v in jumps:
-        new, uid = _scalar_fronts(uid, current, float(v), float(x), 0.0, delta)
+        new, uid = _scalar_fronts(uid, current, float(v), float(x), 0.0, delta, len(fronts))
         fronts.extend(new)
         all_fronts.extend(new)
         current = float(v)
@@ -762,7 +776,8 @@ def burgers_oracle(
         incoming = fronts[i : j + 1]
         for f in incoming:
             f.death_t = t
-        new, uid = _scalar_fronts(uid, incoming[0].v_left, incoming[-1].v_right, x, t, delta)
+        new, uid = _scalar_fronts(uid, incoming[0].v_left, incoming[-1].v_right, x, t, delta,
+                                  len(fronts) - len(incoming))
         all_fronts.extend(new)
         fronts[i : j + 1] = new
         time = t

@@ -8,12 +8,15 @@ bisection on the family speed along the rarefaction curve.  The family-2
 rarefaction is integrated by a fixed-step RK4 on state arrays with
 `r2_direction`, and has a closed form at eta = 0.
 The tracker's observables are recomputed by a plain loop over the fronts, and
-its next collision by one Python call per neighbour pair.
+its next collision by one Python call per neighbour pair; the L1 distance of
+two tracker solutions is summed exactly over the merged front positions.
 Shock speeds are fitted to the Rankine-Hugoniot condition by least squares.
 The flux at eta = 0 is linear in (u, w) with a 2x2 matrix of v, and the 1-2
 outgoing-strength system has a matrix whose inverse the library writes in
 closed form.
 """
+
+import heapq
 
 import numpy as np
 
@@ -301,3 +304,30 @@ def next_collision_loop(st):
         front_ids=tuple(st.fronts[i].uid for i in indices),
         indices=indices,
     )
+
+
+def l1_distance(st_a, st_b):
+    """Exact L1 distance of two tracker solutions at their common time.
+
+    Both are piecewise constant: the boundary state left of the first front
+    and each front's right state up to the next front.  The two position
+    lists are merged (each in its own front order) and
+    (|du| + |dv| + |dw|) x length is summed over the intervals between
+    consecutive positions, with no grid.  Outside the merged hull both must
+    hold the same states.
+    """
+    assert st_a.time == st_b.time
+    current = [st_a.left_boundary_state, st_b.left_boundary_state]
+    far = [st.fronts[-1].right if st.fronts else st.left_boundary_state for st in (st_a, st_b)]
+    assert np.array_equal(*current) and np.array_equal(*far)
+    merged = heapq.merge(
+        *[[(x, side, f.right) for x, f in zip(st.positions(), st.fronts)]
+          for side, st in enumerate((st_a, st_b))],
+        key=lambda entry: entry[0],
+    )
+    total, x_prev = 0.0, None
+    for x, side, state in merged:
+        if x_prev is not None:
+            total += (x - x_prev) * float(np.abs(current[0] - current[1]).sum())
+        current[side], x_prev = state, x
+    return total

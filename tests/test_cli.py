@@ -366,6 +366,38 @@ def test_setting_flag_beats_file_beats_default(section, key):
         assert resolve([], {}) == spec
 
 
+def _value_flags():
+    """(command, flag) for every flag of every command that takes a value."""
+    (commands,) = [a.choices for a in cli.build_parser()._actions if a.choices is not None]
+    return [
+        (command, flag)
+        for command, parser in commands.items()
+        for action in parser._actions
+        if action.nargs is None
+        for flag in action.option_strings
+    ]
+
+
+@pytest.mark.parametrize("command, flag", _value_flags())
+def test_a_value_flag_takes_the_next_token_even_when_it_starts_with_a_minus(command, flag):
+    def parsed(*argv):
+        try:
+            return vars(cli.build_parser().parse_args([command, *argv]))
+        except DomainError as exc:
+            return str(exc)
+
+    spaced = parsed(flag, "-inf")
+    assert spaced == parsed(f"{flag}=-inf")
+    if flag == "--format":
+        assert spaced.startswith("argument --format: invalid choice: '-inf'")
+    else:
+        assert spaced[flag[2:].replace("-", "_")] == "-inf"
+    # a flag of the command after a value flag, -h included, is not taken as its value
+    for after in ("-h", flag):
+        assert parsed(flag, after) == f"argument {flag}: expected one argument"
+    assert parsed(flag) == f"argument {flag}: expected one argument"
+
+
 @pytest.mark.parametrize(
     "argv, section, key",
     [
@@ -509,7 +541,7 @@ def test_riemann_non_finite_xi_bound_exits_1_before_any_output(
     solves = []
     monkeypatch.setattr(cli, "solve_riemann", lambda *args: solves.append(args))
     fan_path = tmp_path / "fan.json"
-    argv = ["riemann", "--ul", "0.1,0,0", "--ur", "0.2,0,0", "--sample", "3", f"{flag}={value}"]
+    argv = ["riemann", "--ul", "0.1,0,0", "--ur", "0.2,0,0", "--sample", "3", flag, value]
     assert run_cli(*argv, "--out", str(fan_path)) == 1
     captured = capsys.readouterr()
     assert _one_error_line(captured)

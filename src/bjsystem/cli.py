@@ -182,10 +182,12 @@ def _fmt_num(x):
 # riemann command
 
 
-def fan_document(fan):
-    def speed_of(w):
-        return list(w.speed) if isinstance(w.speed, tuple) else w.speed
+def _speed(w, num=float):
+    """A wave's speed: one number, or a rarefaction's [first, last] pair."""
+    return [num(s) for s in w.speed] if isinstance(w.speed, tuple) else num(w.speed)
 
+
+def fan_document(fan):
     return {
         "schema_version": SCHEMA_VERSION,
         "eta": fan.params.eta,
@@ -199,7 +201,7 @@ def fan_document(fan):
                 "family": w.family,
                 "kind": w.kind,
                 "strength": w.strength,
-                "speed": speed_of(w),
+                "speed": _speed(w),
                 "left": w.left.tolist(),
                 "right": w.right.tolist(),
             }
@@ -227,11 +229,8 @@ def cmd_riemann(args, scenario):
     else:
         print(f"{'family':>6} {'kind':<12} {'strength':>22} speed / states")
         for w in fan.waves:
-            speed = (
-                f"[{_fmt_num(w.speed[0])}, {_fmt_num(w.speed[1])}]"
-                if isinstance(w.speed, tuple)
-                else _fmt_num(w.speed)
-            )
+            speed = _speed(w, _fmt_num)
+            speed = speed if isinstance(speed, str) else f"[{', '.join(speed)}]"
             print(f"{w.family:>6} {w.kind:<12} {_fmt_num(w.strength):>22} {speed}")
             print(f"       left:  {' '.join(_fmt_num(c) for c in w.left)}")
             print(f"       right: {' '.join(_fmt_num(c) for c in w.right)}")
@@ -268,8 +267,7 @@ def _verify_hyperbolicity(cfg, params):
     report = check_strict_hyperbolicity(
         params, radius=cfg.radius, n_samples=cfg.samples, seed=cfg.seed
     )
-    rec = {
-        "scenario_id": 0,
+    return [{
         "radius": report.radius,
         "n_samples": report.n_samples,
         "min_gap_12": report.min_gap_12,
@@ -277,16 +275,14 @@ def _verify_hyperbolicity(cfg, params):
         "lambda1_min": report.lambda1_range[0],
         "lambda3_max": report.lambda3_range[1],
         "pass": report.passed,
-    }
-    return [rec]
+    }]
 
 
 def _verify_gnl(cfg, params):
     report = check_genuine_nonlinearity(
         params, radius=cfg.radius, n_samples=cfg.samples, seed=cfg.seed
     )
-    rec = {
-        "scenario_id": 0,
+    return [{
         "radius": report.radius,
         "n_samples": report.n_samples,
         "family1_min": report.family1[0],
@@ -297,8 +293,7 @@ def _verify_gnl(cfg, params):
         "family3_max": report.family3[1],
         "degenerate_families": ";".join(str(f) for f in report.degenerate_families),
         "pass": report.passed,
-    }
-    return [rec]
+    }]
 
 
 def _verify_hugoniot(cfg, params):
@@ -306,7 +301,6 @@ def _verify_hugoniot(cfg, params):
     corners = [(-0.5, -0.5), (-0.5, 0.5), (0.5, -0.5), (0.5, 0.5),
                (-0.5, 0.0), (0.5, 0.0), (0.0, -0.5), (0.0, 0.5)]
     records = []
-    sid = 0
     for vbar in np.arange(-0.4, 0.4001, 0.05):
         for s in np.arange(-0.25, -0.0099, 0.01):
             worst = 0.0
@@ -314,16 +308,12 @@ def _verify_hugoniot(cfg, params):
                 base = np.array([ub, vbar, wb])
                 point = wc.hugoniot(2, base, float(s), params)
                 worst = max(worst, point.residual)
-            records.append(
-                {
-                    "scenario_id": sid,
-                    "vbar": round(float(vbar), 10),
-                    "s": round(float(s), 10),
-                    "max_rh_residual": worst,
-                    "pass": worst <= 1e-12,
-                }
-            )
-            sid += 1
+            records.append({
+                "vbar": round(float(vbar), 10),
+                "s": round(float(s), 10),
+                "max_rh_residual": worst,
+                "pass": worst <= 1e-12,
+            })
     return records
 
 
@@ -332,8 +322,7 @@ def _verify_taylor22(cfg, params):
     rel_s = abs(fit.c_sigma - fit.c_sigma_target) / abs(fit.c_sigma_target)
     rel_t = abs(fit.c_tau - fit.c_tau_target) / abs(fit.c_tau_target)
     g_rel = float(np.max(np.abs(fit.g_cubic - ia.G_CUBIC_TARGET) / np.abs(ia.G_CUBIC_TARGET)))
-    rec = {
-        "scenario_id": 0,
+    return [{
         "a": fit.a,
         "c_sigma": fit.c_sigma,
         "c_sigma_target": fit.c_sigma_target,
@@ -344,38 +333,32 @@ def _verify_taylor22(cfg, params):
         "g_max_rel_err": g_rel,
         "axis_max_abs": fit.axis_max_abs,
         "pass": rel_s <= 0.02 and rel_t <= 0.02 and g_rel <= 0.02,
-    }
-    return [rec]
+    }]
 
 
 def _verify_pattern22(cfg, params):
     """Outgoing-sign certification for sampled 2-2 collisions."""
     records = []
-    scenarios = ia.sample_scenarios_22(cfg.samples, a=cfg.a, eps=cfg.eps, seed=cfg.seed)
-    for i, sc in enumerate(scenarios):
+    for sc in ia.sample_scenarios_22(cfg.samples, a=cfg.a, eps=cfg.eps, seed=cfg.seed):
         rep = ia.interact_22(sc)
-        records.append(
-            {
-                "scenario_id": i,
-                "a": sc.a,
-                "eps": sc.eps,
-                "scenario_eta": sc.eta,
-                "s1": sc.s1,
-                "s2": sc.s2,
-                "sigma": rep.outgoing[0],
-                "tau": rep.outgoing[2],
-                "pattern": rep.pattern,
-                "pass": rep.pattern == "SSS",
-            }
-        )
+        records.append({
+            "a": sc.a,
+            "eps": sc.eps,
+            "scenario_eta": sc.eta,
+            "s1": sc.s1,
+            "s2": sc.s2,
+            "sigma": rep.outgoing[0],
+            "tau": rep.outgoing[2],
+            "pattern": rep.pattern,
+            "pass": rep.pattern == "SSS",
+        })
     return records
 
 
 def _verify_bounds12(cfg, params):
     records = []
-    for i, row in enumerate(ia.verify_bounds_12(cfg.samples, eta=params.eta, seed=cfg.seed)):
+    for row in ia.verify_bounds_12(cfg.samples, eta=params.eta, seed=cfg.seed):
         rec = {
-            "scenario_id": i,
             "ul_u": row.scenario.Ul[0],
             "ul_v": row.scenario.Ul[1],
             "ul_w": row.scenario.Ul[2],
@@ -396,26 +379,23 @@ def _verify_bounds12(cfg, params):
 
 def _verify_contraction(cfg, params):
     records = []
-    for i, sc in enumerate(ia.sample_scenarios_12(cfg.samples, eta=params.eta, seed=cfg.seed)):
+    for sc in ia.sample_scenarios_12(cfg.samples, eta=params.eta, seed=cfg.seed):
         result = ia.contraction_solve_12(sc)
-        records.append(
-            {
-                "scenario_id": i,
-                "s": sc.s,
-                "sigma": sc.sigma,
-                "sigma_prime": result.x[0],
-                "tau_prime": result.x[1],
-                "iterations": result.iterations,
-                "contraction_ratio": result.contraction_ratio,
-                "empirical_k": result.empirical_k,
-                "pass": result.contraction_ratio <= ia.CONTRACTION_RATIO_MAX,
-            }
-        )
+        records.append({
+            "s": sc.s,
+            "sigma": sc.sigma,
+            "sigma_prime": result.x[0],
+            "tau_prime": result.x[1],
+            "iterations": result.iterations,
+            "contraction_ratio": result.contraction_ratio,
+            "empirical_k": result.empirical_k,
+            "pass": result.contraction_ratio <= ia.CONTRACTION_RATIO_MAX,
+        })
     return records
 
 
 # each suite's runner, and its defaults where they differ from the table's; a
-# runner returns its records, and a record passes when its "pass" is true
+# runner returns its records unnumbered, and a record passes when its "pass" is true
 _SUITES = {
     "hyperbolicity": (_verify_hyperbolicity, {"samples": 10000}),
     "gnl": (_verify_gnl, {"samples": 2000, "radius": 0.89}),
@@ -436,14 +416,12 @@ def cmd_verify(args, scenario):
     cfg = _settings(args, scenario, "verify", **defaults)
     _check_out_paths(args.out)
     params = ModelParams(cfg.eta)
-    records = run(cfg, params)
-
-    # reproducibility: every record carries the fully resolved configuration
-    for rec in records:
-        rec.setdefault("eta", params.eta)
-        rec.setdefault("seed", cfg.seed)
-    fields = list(records[0].keys()) if records else ["scenario_id", "eta", "seed"]
-    write_records(records, fields, args.out, args.format)
+    # every record is numbered and carries the fully resolved configuration
+    records = [
+        {"scenario_id": i, **rec, "eta": params.eta, "seed": cfg.seed}
+        for i, rec in enumerate(run(cfg, params))
+    ]
+    write_records(records, list(records[0]), args.out, args.format)
     n_fail = sum(1 for r in records if not r["pass"])
     print(
         f"verify {which}: {len(records)} records, {n_fail} failures -> "
@@ -458,9 +436,7 @@ def cmd_verify(args, scenario):
 
 def cmd_fronttrack(args, scenario):
     cfg = _settings(args, scenario, "fronttrack")
-    if args.out:
-        _check_out_paths(*(f"{args.out}_{name}"
-                           for name in ("events.csv", "trajectories.tsv", "observables.csv")))
+    _check_out_paths(*_out_files(args.out))
     params = ModelParams(cfg.eta)
     st = ft.init_from_piecewise(cfg.jumps, cfg.u_left, params, delta=cfg.delta)
     try:
@@ -479,8 +455,15 @@ def cmd_fronttrack(args, scenario):
     return EXIT_OK
 
 
+def _out_files(prefix):
+    """The events, trajectories and observables files of `prefix`; all None (stdout) without."""
+    names = ("events.csv", "trajectories.tsv", "observables.csv")
+    return [f"{prefix}_{name}" if prefix else None for name in names]
+
+
 def _write_tracker_outputs(args, st, series):
     """Events and trajectories (to --out files or stdout) and, with --out, the observables."""
+    events, trajectories, observables = _out_files(args.out)
     event_rows = [
         {
             "index": ev.index,
@@ -495,30 +478,20 @@ def _write_tracker_outputs(args, st, series):
         for ev in st.event_log
     ]
     fields = ["index", "time", "position", "classification", "incoming", "outgoing"]
-    write_records(event_rows, fields, f"{args.out}_events.csv" if args.out else None, "csv")
+    write_records(event_rows, fields, events, "csv")
 
     trajectory_lines = ["front_id\tfamily\tt0\tx0\tt1\tx1"]
     for f in st.dead_fronts + st.fronts:
         t1 = f.death_t if f.death_t is not None else st.time
-        trajectory_lines.append(
-            "\t".join(
-                [
-                    str(f.uid),
-                    str(f.family),
-                    _fmt_num(f.birth_t),
-                    _fmt_num(f.birth_x),
-                    _fmt_num(t1),
-                    _fmt_num(f.position(t1)),
-                ]
-            )
-        )
-    if args.out:
-        with open(f"{args.out}_trajectories.tsv", "w", encoding="utf-8") as fh:
+        times_and_places = map(_fmt_num, (f.birth_t, f.birth_x, t1, f.position(t1)))
+        trajectory_lines.append("\t".join([str(f.uid), str(f.family), *times_and_places]))
+    if trajectories:
+        with open(trajectories, "w", encoding="utf-8") as fh:
             fh.write("\n".join(trajectory_lines) + "\n")
     else:
         print("\n".join(trajectory_lines))
 
-    if args.out:
+    if observables:
         fields = [
             "time", "n_events", "n_fronts", "tv_u", "tv_v", "tv_w", "max_state_norm",
             "balance_u", "balance_v", "balance_w",
@@ -530,7 +503,7 @@ def _write_tracker_outputs(args, st, series):
             )))
             for rec in series
         ]
-        write_records(observable_rows, fields, f"{args.out}_observables.csv", "csv")
+        write_records(observable_rows, fields, observables, "csv")
 
 
 # ---------------------------------------------------------------------------
@@ -562,65 +535,70 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(joined, namespace)
 
 
+_FORMAT = {"choices": ("csv", "json", "tsv"), "default": "csv", "help": "report format"}
+
+# each command's help, its handler and its flags that are not settings; the
+# settings of the model section and of the command's own section are flags too
+_COMMANDS = {
+    "riemann": ("solve one Riemann problem and print the wave table", cmd_riemann, {
+        "--out": {"help": "write the fan as JSON to this path"},
+        "--sample-out": {"help": "write profile samples here"},
+        "--format": _FORMAT,
+    }),
+    "verify": ("run a certification suite", cmd_verify, {
+        "--out": {"help": "report path (default stdout)"},
+        "--format": _FORMAT,
+    }),
+    "fronttrack": ("run the front tracker on a scenario file", cmd_fronttrack, {
+        "--out": {"help": "output prefix for _events.csv, _trajectories.tsv and _observables.csv"},
+    }),
+}
+# settings that only a scenario file gives
+_FILE_ONLY = ("u_left", "jumps")
+
+
 def build_parser():
-    """Flags only name the settings: `_setting` converts and checks their strings."""
+    """Flags only name the settings: `_setting` converts and checks their strings.
+
+    A setting flag's help is its default, or for a required key the first
+    line of its parser's docstring; abbreviated flags are refused.
+    """
     parser = _Parser(
         prog="bjsystem",
         description="Riemann solves, interaction certification and front tracking "
         "for the Baiti-Jenssen 3x3 system.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pr = sub.add_parser("riemann", help="solve one Riemann problem and print the wave table")
-    pr.add_argument("--ul", help="left state as 'u,v,w'")
-    pr.add_argument("--ur", help="right state as 'u,v,w'")
-    pr.add_argument("--eta", help="perturbation parameter in [0, 1/4)")
-    pr.add_argument("--scenario", help="JSON scenario file")
-    pr.add_argument("--sample", help="emit N self-similar profile samples")
-    pr.add_argument("--xi-min")
-    pr.add_argument("--xi-max")
-    pr.add_argument("--out", help="write the fan as JSON to this path")
-    pr.add_argument("--sample-out", help="write profile samples here")
-    pr.add_argument("--format", choices=("csv", "json", "tsv"), default="csv")
-
-    pv = sub.add_parser("verify", help="run a certification suite")
-    pv.add_argument("which", nargs="?", help=f"the suite: {', '.join(VERIFY_SUITES)}")
-    pv.add_argument("--eta")
-    pv.add_argument("--a", help="base-point parameter in (0, 1/2)")
-    pv.add_argument("--eps", help="2-2 scenario box size")
-    pv.add_argument("--samples")
-    pv.add_argument("--seed")
-    pv.add_argument("--radius")
-    pv.add_argument("--scenario", help="JSON scenario file")
-    pv.add_argument("--out", help="report path (default stdout)")
-    pv.add_argument("--format", choices=("csv", "json", "tsv"), default="csv")
-
-    pf = sub.add_parser("fronttrack", help="run the front tracker on a scenario file")
-    pf.add_argument("--scenario", help="JSON scenario file")
-    pf.add_argument("--eta")
-    pf.add_argument("--delta", help="rarefaction discretization")
-    pf.add_argument("--t-end")
-    pf.add_argument("--max-events")
-    pf.add_argument(
-        "--out", help="output prefix for _events.csv, _trajectories.tsv and _observables.csv"
-    )
+    for command, (about, _, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about, allow_abbrev=False)
+        p.add_argument("--scenario", help="JSON scenario file")
+        for key, spec in {**_SETTINGS["model"], **_SETTINGS[command]}.items():
+            if key == "which":
+                p.add_argument(key, nargs="?", help=f"the suite: {', '.join(VERIFY_SUITES)} "
+                               "(a suite may set its own defaults, as README lists)")
+            elif key not in _FILE_ONLY:
+                doc = spec.__doc__.splitlines()[0] if callable(spec) else f"default: {spec}"
+                p.add_argument("--" + key.replace("_", "-"), help=doc)
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command; every error it raises becomes one stderr line and an exit code."""
+    """Run one command; every error it raises becomes one stderr line and an exit code.
+
+    Bad input exits 1, and so does an event that the tracker refused as bad
+    input (past the front limit); a numeric failure exits 2.
+    """
     try:
         args = build_parser().parse_args(argv)
         scenario = load_scenario(args.scenario) if args.scenario else {}
-        if args.command == "riemann":
-            return cmd_riemann(args, scenario)
-        if args.command == "verify":
-            return cmd_verify(args, scenario)
-        return cmd_fronttrack(args, scenario)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except (ConvergenceError, HyperbolicityError, TrackerEventError) as exc:
+        return _COMMANDS[args.command][1](args, scenario)
+    except (ValueError, OSError, ConvergenceError, HyperbolicityError, TrackerEventError) as exc:
+        if isinstance(exc, (ValueError, OSError)) or isinstance(exc.__cause__, DomainError):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
         residual = getattr(exc, "residual", None)
         suffix = "" if residual is None else f" (residual {residual})"
         print(f"{args.command}: numeric failure: {exc}{suffix}", file=sys.stderr)

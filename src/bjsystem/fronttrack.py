@@ -620,10 +620,11 @@ def run(st: TrackerState, t_end: float, max_events: int = MAX_EVENTS):
     """Advance event by event until t_end, recording observables after each.
 
     Exceeding max_events sets st.truncated instead of raising.  A
-    ConvergenceError or HyperbolicityError while resolving an event is raised
-    as a TrackerEventError that names the event and carries the series up to
-    the last completed event; st.fronts and st.event_log are left as that
-    event left them.  t_end must be finite and exceed st.time.
+    ConvergenceError, HyperbolicityError or DomainError (such as an event past
+    MAX_FRONTS) while resolving an event is raised as a TrackerEventError
+    that names the event, chains the cause and carries the series up to the
+    last completed event; st.fronts and st.event_log are left as that event
+    left them.  t_end must be finite and exceed st.time.
     """
     if not np.isfinite(t_end):
         raise DomainError(f"t_end must be finite, got {t_end}")
@@ -642,7 +643,7 @@ def run(st: TrackerState, t_end: float, max_events: int = MAX_EVENTS):
             break
         try:
             resolve_collision(st, candidate)
-        except (ConvergenceError, HyperbolicityError) as exc:
+        except (ConvergenceError, HyperbolicityError, DomainError) as exc:
             raise TrackerEventError(
                 f"event {len(st.event_log)} at t={candidate.time!r}, x={candidate.position!r}, "
                 f"fronts {candidate.front_ids} failed: {exc}",

@@ -152,7 +152,7 @@ def test_verify_json_report(tmp_path):
     assert len(doc["records"]) == 5
 
 
-def write_fronttrack_scenario(path, jumps, u_left, eta=1e-4, t_end=1e4, max_events=50):
+def write_fronttrack_scenario(path, jumps, u_left, eta=1e-4, t_end=1e4, max_events=50, **more):
     doc = {
         "schema_version": "1",
         "model": {"eta": eta},
@@ -161,6 +161,7 @@ def write_fronttrack_scenario(path, jumps, u_left, eta=1e-4, t_end=1e4, max_even
             "jumps": [[x, list(state)] for x, state in jumps],
             "t_end": t_end,
             "max_events": max_events,
+            **more,
         },
     }
     path.write_text(json.dumps(doc))
@@ -249,6 +250,41 @@ def test_fronttrack_failed_event_leaves_the_partial_log(tmp_path, capsys, monkey
     assert [int(r["n_events"]) for r in rows] == [0, 1]
     lines = (tmp_path / "run_trajectories.tsv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2 + int(rows[-1]["n_fronts"])  # two dead fronts + the live ones
+
+
+def _rarefaction_jumps(params):
+    """Left state and jumps of one weak 3-wave followed by eleven 2-rarefactions of 5e-3."""
+    rng = np.random.default_rng(813)
+    layout = [(3, 1e-3)] + [(2, 5e-3)] * 11
+    xs = -1.0 + (np.arange(len(layout)) + rng.uniform(0.4, 0.6, len(layout))) * (2.0 / len(layout))
+    U0 = cur = np.array([0.2, 0.0, -0.2])
+    jumps = []
+    for x, (fam, s) in zip(xs, layout):
+        cur = wc.wave_fan_curve(fam, cur, s, params).state
+        jumps.append((float(x), cur))
+    return U0, jumps
+
+
+def test_fronttrack_stopped_by_the_front_limit_leaves_the_partial_log(
+    tmp_path, capsys, monkeypatch
+):
+    params = ModelParams(1e-3)
+    U0, jumps = _rarefaction_jumps(params)
+    limit = len(ft.init_from_piecewise(jumps, U0, params, delta=2e-3).fronts) + 5
+    monkeypatch.setattr(ft, "MAX_FRONTS", limit)
+    scenario = tmp_path / "scenario.json"
+    write_fronttrack_scenario(scenario, jumps, U0, eta=1e-3, delta=2e-3)
+    prefix = tmp_path / "run"
+    assert run_cli("fronttrack", "--scenario", str(scenario), "--out", str(prefix)) == 1
+    err = capsys.readouterr().err
+    # event 7 (index 6) would emit a 3-shock past the limit
+    assert err.startswith("error: event 6 at t=") and err.count("\n") == 1
+    assert f"is more than the {limit} fronts" in err
+    events = list(csv.DictReader((tmp_path / "run_events.csv").open()))
+    assert [e["index"] for e in events] == [str(i) for i in range(6)]
+    rows = list(csv.DictReader((tmp_path / "run_observables.csv").open()))
+    assert [int(r["n_events"]) for r in rows] == list(range(7))
+    assert (tmp_path / "run_trajectories.tsv").exists()
 
 
 def test_scenario_rejects_unknown_keys(tmp_path, capsys):
@@ -366,16 +402,71 @@ def test_setting_flag_beats_file_beats_default(section, key):
         assert resolve([], {}) == spec
 
 
+def _subparsers():
+    """Each command's parser, by command name."""
+    (commands,) = [a.choices for a in cli.build_parser()._actions if a.choices is not None]
+    return commands
+
+
 def _value_flags():
     """(command, flag) for every flag of every command that takes a value."""
-    (commands,) = [a.choices for a in cli.build_parser()._actions if a.choices is not None]
     return [
         (command, flag)
-        for command, parser in commands.items()
+        for command, parser in _subparsers().items()
         for action in parser._actions
         if action.nargs is None
         for flag in action.option_strings
     ]
+
+
+# each command's flags that take a value; -h and --help take none
+VALUE_FLAGS = {
+    "riemann": {"--scenario", "--eta", "--ul", "--ur", "--sample", "--xi-min", "--xi-max",
+                "--out", "--sample-out", "--format"},
+    "verify": {"--scenario", "--eta", "--a", "--eps", "--samples", "--seed", "--radius",
+               "--out", "--format"},
+    "fronttrack": {"--scenario", "--eta", "--delta", "--t-end", "--max-events", "--out"},
+}
+
+
+@pytest.mark.parametrize("command", VALUE_FLAGS)
+def test_each_command_has_exactly_its_flags(command):
+    parser = _subparsers()[command]
+    nargs = {flag: a.nargs for a in parser._actions for flag in a.option_strings}
+    assert nargs == {"-h": 0, "--help": 0, **dict.fromkeys(VALUE_FLAGS[command])}
+    positionals = [(a.dest, a.nargs) for a in parser._actions if not a.option_strings]
+    assert positionals == ([("which", "?")] if command == "verify" else [])
+    if command == "fronttrack":
+        assert not {"--u-left", "--jumps", "--format"} & set(nargs)
+
+
+@pytest.mark.parametrize("command", VALUE_FLAGS)
+def test_help_shows_each_setting_flag_with_its_default(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        run_cli(command, "--help")
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    settings = {**cli._SETTINGS["model"], **cli._SETTINGS[command]}
+    for key, spec in settings.items():
+        if key in ("which", "u_left", "jumps"):
+            continue
+        flag = "--" + key.replace("_", "-")
+        shown = spec.__doc__.splitlines()[0] if callable(spec) else f"default: {spec}"
+        assert f"{flag} {key.upper()} {shown}" in text
+    if command == "riemann":
+        assert "--xi-min XI_MIN default: -6.0" in text
+
+
+@pytest.mark.parametrize("command, flag", _value_flags())
+def test_an_abbreviated_flag_is_refused(tmp_path, capsys, command, flag):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"fronttrack": _TRACK}))
+    argv = [a.format(out=tmp_path / "run", scenario=scenario) for a in _COMMAND_LINES[command]]
+    assert run_cli(*argv, flag[:-1], "1") == 1
+    captured = capsys.readouterr()
+    assert _one_error_line(captured)
+    assert captured.err.startswith("error: unrecognized arguments: ")
+    assert list(tmp_path.glob("run*")) == []
 
 
 @pytest.mark.parametrize("command, flag", _value_flags())

@@ -63,7 +63,7 @@ _SETTINGS = {
         "ul": _parse_state, "ur": _parse_state, "sample": 0, "xi_min": -6.0, "xi_max": 6.0,
     },
     "verify": {
-        "which": str, "a": 0.25, "eps": ia.DEFAULT_EPS_22, "samples": 100, "seed": 0,
+        "which": str, "a": 0.25, "eps": ia.DEFAULT_EPS_22, "samples": 1000, "seed": 0,
         "radius": 0.9,
     },
     "fronttrack": {
@@ -210,11 +210,16 @@ def fan_document(fan):
     }
 
 
+def _check_in_ball(name, U):
+    """Raise DomainError unless the state U lies in the unit ball |U| < 1."""
+    if not in_unit_ball(U):
+        raise DomainError(f"{name} violates |U| < 1: {U.tolist()}")
+
+
 def cmd_riemann(args, scenario):
     cfg = _settings(args, scenario, "riemann")
-    for name, U in (("left", cfg.ul), ("right", cfg.ur)):
-        if not in_unit_ball(U):
-            raise DomainError(f"{name} state violates |U| < 1: {U.tolist()}")
+    _check_in_ball("left state", cfg.ul)
+    _check_in_ball("right state", cfg.ur)
     if cfg.sample < 0:
         raise DomainError(f"sample must be >= 0, got {cfg.sample}")
     for name, xi in (("xi_min", cfg.xi_min), ("xi_max", cfg.xi_max)):
@@ -394,15 +399,16 @@ def _verify_contraction(cfg, params):
     return records
 
 
-# each suite's runner, and its defaults where they differ from the table's; a
-# runner returns its records unnumbered, and a record passes when its "pass" is true
+# each suite's runner, and its defaults where they differ from the table's (`verify
+# --help` lists them); a runner returns its records unnumbered, and a record passes
+# when its "pass" is true.  hugoniot and taylor22 take no samples.
 _SUITES = {
     "hyperbolicity": (_verify_hyperbolicity, {"samples": 10000}),
     "gnl": (_verify_gnl, {"samples": 2000, "radius": 0.89}),
     "hugoniot": (_verify_hugoniot, {}),
     "taylor22": (_verify_taylor22, {}),
-    "pattern22": (_verify_pattern22, {"samples": 1000}),
-    "bounds12": (_verify_bounds12, {"eta": ia.DEFAULT_ETA_12, "samples": 1000}),
+    "pattern22": (_verify_pattern22, {}),
+    "bounds12": (_verify_bounds12, {"eta": ia.DEFAULT_ETA_12}),
     "contraction": (_verify_contraction, {"eta": ia.DEFAULT_ETA_12, "samples": 200}),
 }
 VERIFY_SUITES = tuple(_SUITES)
@@ -436,6 +442,9 @@ def cmd_verify(args, scenario):
 
 def cmd_fronttrack(args, scenario):
     cfg = _settings(args, scenario, "fronttrack")
+    _check_in_ball("u_left", cfg.u_left)
+    for k, (x, U) in enumerate(cfg.jumps):
+        _check_in_ball(f"state of jump {k} (x={x})", U)
     _check_out_paths(*_out_files(args.out))
     params = ModelParams(cfg.eta)
     st = ft.init_from_piecewise(cfg.jumps, cfg.u_left, params, delta=cfg.delta)
@@ -560,8 +569,9 @@ _FILE_ONLY = ("u_left", "jumps")
 def build_parser():
     """Flags only name the settings: `_setting` converts and checks their strings.
 
-    A setting flag's help is its default, or for a required key the first
-    line of its parser's docstring; abbreviated flags are refused.
+    A setting flag's help is its default, followed on `verify` by the suites
+    that set their own, or for a required key the first line of its parser's
+    docstring; abbreviated flags are refused.
     """
     parser = _Parser(
         prog="bjsystem",
@@ -576,9 +586,12 @@ def build_parser():
         for key, spec in {**_SETTINGS["model"], **_SETTINGS[command]}.items():
             if key == "which":
                 p.add_argument(key, nargs="?", help=f"the suite: {', '.join(VERIFY_SUITES)} "
-                               "(a suite may set its own defaults, as README lists)")
+                               "(a suite may set its own defaults, as the flags show)")
             elif key not in _FILE_ONLY:
                 doc = spec.__doc__.splitlines()[0] if callable(spec) else f"default: {spec}"
+                own = [f"{name} {d[key]}" for name, (_, d) in _SUITES.items() if key in d]
+                if command == "verify" and own:
+                    doc += f"; {', '.join(own)}"
                 p.add_argument("--" + key.replace("_", "-"), help=doc)
         for flag, options in flags.items():
             p.add_argument(flag, **options)

@@ -7,19 +7,22 @@ closed form
 
     S2[s, Ub] = Ub + E(vb, s) Ub   on the (u, w) components, v -> vb + s,
 
-with shock speed gamma = 2 vb + s, and E singular at |2 vb + s| = 4.  For
-eta > 0 the shock branch is continued by Newton on the Rankine-Hugoniot
-system.  The rarefaction branch integrates the middle eigenvector field as a
-2-D ODE in v for the line coordinates (alpha, beta) of `flux`, with an
-adaptive Dormand-Prince 5(4) pair whose local error tolerance is RARE_TOL
-relative to 1 + max(|alpha|, |beta|).
+with shock speed gamma = 2 vb + s, and E singular at |2 vb + s| = 4.  The
+v-row of Rankine-Hugoniot fixes that speed for every eta, so for eta > 0
+Newton on the u- and w-rows alone corrects the closed form; both cases run
+through `_hugoniot2`.  The rarefaction branch integrates the middle
+eigenvector field as a 2-D ODE in v for the line coordinates (alpha, beta)
+of `flux`, with an adaptive Dormand-Prince 5(4) pair whose local error
+tolerance is RARE_TOL relative to 1 + max(|alpha|, |beta|).
 
 Every shock speed is explicit.  lambda_1 is affine in alpha along r_1,
 lambda_3 is affine in beta along r_3 and lambda_2 = 2v, so a jump along a
 wave curve moves at the mean of its family's eigenvalue on its two sides:
 -4 + 2 eta (alpha_b + alpha), 2 vb + s and 4 - 2 eta (beta_b + beta), for
-every eta.  `rh_residual` is the one place the Rankine-Hugoniot residual
-|F(right) - F(left) - speed (right - left)| is computed.
+every eta.  The Rankine-Hugoniot residual
+|F(right) - F(left) - speed (right - left)| of a family-2 point is the norm
+of the vector that `_hugoniot2` solves for; `rh_residual` computes it for the
+outer families and for any other pair of states.
 
 Sign conventions: shocks sit at s < 0 for families 1 and 2 and at s > 0 for
 family 3 (reversed orientation of the third field).
@@ -80,9 +83,10 @@ def _check_family(fam: int):
         raise DomainError(f"wave family must be 1, 2 or 3, got {fam!r}")
 
 
-def _curve_warnings(base, s, state):
+def _curve_warnings(state, gamma=0.0):
+    """Notes on a curve point; `gamma` is the 2-shock speed 2 vb + s of a family-2 point."""
     notes = []
-    if abs(2.0 * base[1] + s) >= SPEED_WARN:
+    if abs(gamma) >= SPEED_WARN:
         notes.append("2-shock speed |2v+s| >= 3: approaching the singular locus at 4")
     if np.linalg.norm(state) >= 1.0:
         notes.append("curve point left the unit ball |U| < 1")
@@ -118,74 +122,63 @@ def hugoniot2_closed_form(base, s: float) -> CurvePoint:
     v-component becomes vb + s, (u, w) pick up E(vb, s), and the shock speed
     is exactly 2 vb + s.  Raises SingularCurveError when |2 vb + s| >= 4.
     """
-    base = as_state(base)
+    return _hugoniot2(as_state(base), s, ModelParams(0.0))
+
+
+def _hugoniot2(base, s, params):
+    """Family-2 Hugoniot point from a state array: v -> vb + s at the exact speed 2 vb + s.
+
+    The v-row of Rankine-Hugoniot fixes the speed gamma = 2 vb + s, so only
+    (u, w) are unknown.  They start at the closed form Ub + E(vb, s) Ub,
+    which is the answer at eta = 0 (SingularCurveError when |gamma| >= 4).
+    For eta > 0 Newton on the u- and w-rows, with the 2x2 block of
+    jacobian - gamma I and a halving line search, corrects them (from the
+    base past the singular locus) until the residual is below
+    NEWTON_TOL (1 + |F(Ub)|), or raises ConvergenceError.
+    """
     if s == 0.0:
         return CurvePoint(state=base.copy(), speed=2.0 * base[1])
-    E = hugoniot_matrix(base[1], s)
-    uw = base[[0, 2]] + E @ base[[0, 2]]
-    state = np.array([uw[0], base[1] + s, uw[1]])
     gamma = 2.0 * base[1] + s
-    return CurvePoint(
-        state=state,
-        speed=gamma,
-        residual=rh_residual(base, state, gamma, ModelParams(0.0)),
-        warnings=_curve_warnings(base, s, state),
-    )
-
-
-def _hugoniot2_newton(base, s, params):
-    """Family-2 RH solve for eta > 0 from a state array: unknowns (u, w, gamma), v pinned."""
-    v_new = base[1] + s
+    uw = base[[0, 2]]
     try:
-        uw = base[[0, 2]] + hugoniot_matrix(base[1], s) @ base[[0, 2]]
+        uw = uw + hugoniot_matrix(base[1], s) @ uw
     except SingularCurveError:
-        uw = base[[0, 2]]
-    z = np.array([uw[0], uw[1], 2.0 * base[1] + s])
+        if params.eta == 0.0:
+            raise
     F_base = flux_fn(base, params)
-    scale = 1.0 + float(np.linalg.norm(F_base))
 
-    def residual_vec(z):
-        state = np.array([z[0], v_new, z[1]])
-        return state, flux_fn(state, params) - F_base - z[2] * (state - base)
+    def residual(uw):
+        state = np.array([uw[0], base[1] + s, uw[1]])
+        R = flux_fn(state, params) - F_base - gamma * (state - base)
+        return state, R, float(np.linalg.norm(R))
 
-    state, R = residual_vec(z)
-    r_norm = float(np.linalg.norm(R))
-    e_u = np.array([1.0, 0.0, 0.0])
-    e_w = np.array([0.0, 0.0, 1.0])
-    for _ in range(NEWTON_MAX_ITER):
-        if r_norm <= 1e-15 * scale:
-            break
-        J = jacobian(state, params)
-        Jz = np.column_stack([J[:, 0] - z[2] * e_u, J[:, 2] - z[2] * e_w, -(state - base)])
-        try:
-            step = np.linalg.solve(Jz, R)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                "singular Jacobian in 2-Hugoniot Newton solve", iterate=z, residual=r_norm
-            ) from exc
-        improved = False
-        damping = 1.0
-        for _ in range(30):
-            z_try = z - damping * step
-            state_try, R_try = residual_vec(z_try)
-            r_try = float(np.linalg.norm(R_try))
-            if r_try < r_norm:
-                z, state, R, r_norm = z_try, state_try, R_try, r_try
-                improved = True
+    state, R, r_norm = residual(uw)
+    if params.eta > 0.0:
+        scale = 1.0 + float(np.linalg.norm(F_base))
+        for _ in range(NEWTON_MAX_ITER):
+            if r_norm <= 1e-15 * scale:
                 break
-            damping *= 0.5
-        if not improved:
-            break
-    if r_norm > NEWTON_TOL * scale:
-        raise ConvergenceError(
-            f"2-Hugoniot Newton residual {r_norm:.3e} above tolerance", iterate=z, residual=r_norm
-        )
-    return CurvePoint(
-        state=state,
-        speed=2.0 * base[1] + s,
-        residual=r_norm,
-        warnings=_curve_warnings(base, s, state),
-    )
+            J = jacobian(state, params)[::2, ::2]  # the u- and w-rows and columns
+            try:
+                step = np.linalg.solve(J - gamma * np.eye(2), R[::2])
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(
+                    "singular Jacobian in 2-Hugoniot Newton solve", iterate=state, residual=r_norm
+                ) from exc
+            for k in range(30):
+                trial = residual(state[::2] - 0.5**k * step)
+                if trial[2] < r_norm:
+                    state, R, r_norm = trial
+                    break
+            else:  # no step length lowers the residual
+                break
+        if r_norm > NEWTON_TOL * scale:
+            raise ConvergenceError(
+                f"2-Hugoniot Newton residual {r_norm:.3e} above tolerance",
+                iterate=state, residual=r_norm,
+            )
+    return CurvePoint(state=state, speed=gamma, residual=r_norm,
+                      warnings=_curve_warnings(state, gamma))
 
 
 def hugoniot(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
@@ -193,11 +186,7 @@ def hugoniot(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
     _check_family(fam)
     base = as_state(base)
     if fam == 2:
-        if s == 0.0:
-            return CurvePoint(state=base.copy(), speed=2.0 * base[1])
-        if params.eta == 0.0:
-            return hugoniot2_closed_form(base, s)
-        return _hugoniot2_newton(base, s, params)
+        return _hugoniot2(base, s, params)
     state = _line_point(fam, base, s)
     # lambda_fam is affine along its straight line: the shock speed is the mean
     speed = 0.5 * float(eigenvalues(base, params)[fam - 1] + eigenvalues(state, params)[fam - 1])
@@ -205,7 +194,7 @@ def hugoniot(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
         state=state,
         speed=speed,
         residual=rh_residual(base, state, speed, params),
-        warnings=_curve_warnings(base, 0.0, state),
+        warnings=_curve_warnings(state),
     )
 
 
@@ -295,13 +284,12 @@ def rarefaction(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
     if fam in (1, 3):
         state = _line_point(fam, base, s)
         speed = float(eigenvalues(state, params)[fam - 1])
-        return CurvePoint(state=state, speed=speed,
-                          warnings=_curve_warnings(base, 0.0, state))
+        return CurvePoint(state=state, speed=speed, warnings=_curve_warnings(state))
     u, w = _rarefaction2(base, float(s), params.eta)
     y = np.array([u, base[1] + s, w])
     speed = 2.0 * y[1]  # middle eigenvalue is exactly 2v
     return CurvePoint(state=y, speed=speed,
-                      warnings=_curve_warnings(base, s, y))
+                      warnings=_curve_warnings(y, 2.0 * base[1] + s))
 
 
 def wave_fan_curve(fam: int, base, s: float, params: ModelParams) -> CurvePoint:

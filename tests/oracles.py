@@ -169,7 +169,8 @@ def rk4_rarefaction2(base, s, params, step=1e-3):
         k4 = fx.r2_direction(y + h * k3, params)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     y[1] = base[1] + s
-    return wc.CurvePoint(state=y, speed=2.0 * y[1], warnings=wc._curve_warnings(base, s, y))
+    warnings = wc._curve_warnings(y, 2.0 * base[1] + s)
+    return wc.CurvePoint(state=y, speed=2.0 * y[1], warnings=warnings)
 
 
 def closed_form_rarefaction2(base, s):

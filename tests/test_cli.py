@@ -287,6 +287,52 @@ def test_fronttrack_stopped_by_the_front_limit_leaves_the_partial_log(
     assert (tmp_path / "run_trajectories.tsv").exists()
 
 
+@pytest.mark.parametrize(
+    "eta, u_left, jumps, named",
+    [
+        # each state outside the ball failed inside the solver before any output was written:
+        # a Riemann solve that did not converge, and a 2-rarefaction whose step size collapsed
+        (0.2, [0.1, 0.0, -0.1], [(0.0, [0.1, 0.1, -0.1]), (0.5, [3.0, 1.9, 2.0])],
+         "state of jump 1 (x=0.5) violates |U| < 1: [3.0, 1.9, 2.0]"),
+        (0.0, [0.1, 0.0, -0.1], [(0.5, [30, 5, 2])],
+         "state of jump 0 (x=0.5) violates |U| < 1: [30.0, 5.0, 2.0]"),
+        (0.0, [0.6, 0.6, 0.6], [(0.5, [0.1, 0.0, -0.1])],
+         "u_left violates |U| < 1: [0.6, 0.6, 0.6]"),
+    ],
+)
+def test_fronttrack_refuses_a_state_outside_the_ball(tmp_path, capsys, eta, u_left, jumps, named):
+    scenario = tmp_path / "scenario.json"
+    write_fronttrack_scenario(scenario, jumps, u_left, eta=eta)
+    assert run_cli("fronttrack", "--scenario", str(scenario), "--out", str(tmp_path / "run")) == 1
+    captured = capsys.readouterr()
+    assert _one_error_line(captured)
+    assert captured.err == f"error: {named}\n"
+    assert list(tmp_path.glob("run*")) == []
+
+
+def test_verify_help_shows_the_samples_each_suite_runs_with(capsys, monkeypatch):
+    with pytest.raises(SystemExit):
+        run_cli("verify", "--help")
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--eta ETA default: 0.0; bounds12 0.001, contraction 0.001 --a" in text
+    assert "--radius RADIUS default: 0.9; gnl 0.89 --out" in text
+    samples = "default: 1000; hyperbolicity 10000, gnl 2000, contraction 200"
+    assert f"--samples SAMPLES {samples} --seed" in text
+    # the value the help shows for each suite that samples is the one its runner gets
+    shown = {"hyperbolicity": 10000, "gnl": 2000, "pattern22": 1000, "bounds12": 1000,
+             "contraction": 200}
+    received = {}
+    for suite in shown:
+
+        def recording(cfg, params, suite=suite):
+            received[suite] = cfg.samples
+            return [{"pass": True}]
+
+        monkeypatch.setitem(cli._SUITES, suite, (recording, cli._SUITES[suite][1]))
+        assert run_cli("verify", suite) == 0
+    assert received == shown
+
+
 def test_scenario_rejects_unknown_keys(tmp_path, capsys):
     scenario = tmp_path / "bad.json"
     scenario.write_text(json.dumps({"schema_version": "1", "bogus": {}}))

@@ -1085,6 +1085,32 @@ def test_burgers_merging_shocks():
     assert oracle.fronts[0].speed == 0.5 + (-0.3)
 
 
+def test_three_shocks_meeting_at_one_point_merge_in_one_event():
+    # v-shocks of speeds 0.5, 0 and -0.5 from x = -0.5, 0 and 0.5 all meet at (0, 1)
+    v0, v_jumps = 0.375, [(-0.5, 0.125), (0.0, -0.125), (0.5, -0.375)]
+    oracle = ft.burgers_oracle(v0, v_jumps, 2.0)
+    assert oracle.event_times == [1.0]
+    [merged] = oracle.fronts
+    assert (merged.v_left, merged.v_right, merged.speed) == (0.375, -0.375, 0.0)
+    assert (merged.birth_x, merged.birth_t) == (0.0, 1.0)
+    # the system tracker on 2-shocks with the same v-jumps: one event, the same v-fronts
+    params = ModelParams(1e-3)
+    states = [np.array([0.1, v0, -0.1])]
+    for _ in v_jumps:
+        states.append(wc.hugoniot(2, states[-1], -0.25, params).state)
+    st = ft.init_from_piecewise([(x, U) for (x, _), U in zip(v_jumps, states[1:])],
+                                states[0], params)
+    st, _ = ft.run(st, 2.0)
+    assert [(ev.time, ev.position) for ev in st.event_log] == [(1.0, 0.0)]
+    for t in (0.5, 1.5):
+        system = sorted(
+            (f.position(t), f.left[1], f.right[1])
+            for f in st.dead_fronts + st.fronts
+            if f.birth_t <= t and (f.death_t is None or f.death_t > t) and f.right[1] != f.left[1]
+        )
+        assert system == oracle.fronts_at(t)
+
+
 def test_a_wave_past_the_front_limit_raises_before_its_fronts_are_built(monkeypatch):
     # two 2-rarefactions of 6 pieces each: the second would make 12 live fronts
     params = ModelParams(1e-3)

@@ -26,6 +26,26 @@ def test_scenario_validation_22():
         ia.Interaction22Scenario(a=A, Ul=U_SHARP, s1=-1e-3, s2=-1e-3, eta=0.1)
 
 
+def test_scenario_validation_12():
+    ia.Interaction12Scenario(Ul=np.array([0.2, 0.1, -0.2]), s=-0.2, sigma=-0.1, eta=1e-3)
+    with pytest.raises(DomainError, match=r"\|Ul\| < 1/2"):
+        ia.Interaction12Scenario(Ul=np.array([0.4, 0.2, -0.3]), s=-0.2, sigma=-0.1, eta=0.0)
+    with pytest.raises(DomainError, match="s must lie in"):
+        ia.Interaction12Scenario(Ul=np.array([0.2, 0.1, -0.2]), s=0.1, sigma=-0.1, eta=0.0)
+    with pytest.raises(DomainError, match="sigma must lie in"):
+        ia.Interaction12Scenario(Ul=np.array([0.2, 0.1, -0.2]), s=-0.2, sigma=-0.25, eta=0.0)
+    with pytest.raises(DomainError, match="eta must lie in"):
+        ia.Interaction12Scenario(Ul=np.array([0.2, 0.1, -0.2]), s=-0.2, sigma=-0.1, eta=0.25)
+
+
+def test_pattern_marks_each_wave_by_the_side_of_its_family():
+    # shocks sit at s < 0 for families 1 and 2 and at s > 0 for family 3
+    assert ia._pattern(-0.1, -0.1, 0.1) == "SSS"
+    assert ia._pattern(0.1, 0.1, -0.1) == "RRR"
+    assert ia._pattern(0.1, -0.1, 0.1) == "RSS"
+    assert ia._pattern(0.0, 0.1, 0.0) == "-R-"
+
+
 def test_interact_22_zero_strengths_trivial():
     sc = ia.Interaction22Scenario(a=A, Ul=U_SHARP, s1=0.0, s2=0.0, eta=0.0)
     rep = ia.interact_22(sc)

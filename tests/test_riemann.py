@@ -181,6 +181,22 @@ def test_evaluate_fan_inside_rarefaction():
         assert abs(lam[1] - xi) <= 1e-8
 
 
+def test_evaluate_fan_between_a_shock_and_a_following_rarefaction(monkeypatch):
+    # a 1-shock, then a 2-rarefaction: xi in the gap between them gives the
+    # rarefaction's left state without evaluating a curve
+    params = ModelParams(0.05)
+    Ul = np.array([0.2, -0.1, -0.15])
+    fan = solve_riemann(Ul, compose(Ul, (-0.1, 0.2, 0.0), params), params)
+    shock, rare = fan.waves[:2]
+    assert (shock.family, shock.kind, rare.family, rare.kind) == (1, SHOCK, 2, RAREFACTION)
+    calls = []
+    monkeypatch.setattr(wc, "rarefaction", lambda *args: calls.append(args))
+    for xi in (shock.speed + 1e-9, 0.5 * (shock.speed + rare.speed[0]), rare.speed[0] - 1e-9):
+        assert evaluate_fan(fan, xi) is rare.left
+    assert calls == []
+    assert np.array_equal(rare.left, shock.right)
+
+
 @pytest.mark.parametrize("eta", [0.05, 0.2])
 def test_fan_sampling_matches_bisection_oracle(eta):
     params = ModelParams(eta)

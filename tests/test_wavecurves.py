@@ -92,11 +92,73 @@ def test_closed_form_matches_independent_newton():
 
 
 def test_hugoniot_newton_agrees_with_closed_form_at_eta0():
+    # at eta = 0 `hugoniot` returns the closed form with no Newton step
     base = np.array([0.2, 0.1, -0.3])
-    closed = wc.hugoniot2_closed_form(base, -0.15)
-    newton = wc._hugoniot2_newton(base, -0.15, P0)
-    assert np.max(np.abs(closed.state - newton.state)) <= 1e-10
-    assert abs(closed.speed - newton.speed) <= 1e-10
+    point = wc.hugoniot(2, base, -0.15, P0)
+    oracle_state, oracle_speed = rh_newton_oracle(base, -0.15, P0)
+    assert np.max(np.abs(point.state - oracle_state)) <= 1e-10
+    assert abs(point.speed - oracle_speed) <= 1e-10
+    assert repr(point) == repr(wc.hugoniot2_closed_form(base, -0.15))
+
+
+@pytest.mark.parametrize("eta", [1e-3, 0.05, 0.2, 0.2499])
+def test_hugoniot_family2_matches_independent_newton_over_the_ball(eta):
+    params = ModelParams(eta)
+    rng = np.random.default_rng([2402, int(eta * 1e4)])
+    worst, n = 0.0, 0
+    for base in oracles.ball_sample(rng, 150, 0.9):
+        s = -float(np.exp(rng.uniform(np.log(1e-4), np.log(0.3))))
+        if abs(base[1] + s) >= 0.95:
+            continue
+        point = wc.hugoniot(2, base, s, params)
+        oracle_state, oracle_speed = rh_newton_oracle(base, s, params)
+        assert point.speed == 2.0 * base[1] + s
+        assert point.residual <= wc.NEWTON_TOL
+        worst = max(worst, float(np.max(np.abs(point.state - oracle_state))),
+                    abs(point.speed - oracle_speed))
+        n += 1
+    assert n >= 140
+    assert worst <= 1e-11
+
+
+def test_hugoniot_family2_newton_halves_a_step_that_does_not_lower_the_residual(monkeypatch):
+    # found by a seeded search over |Ub| < 0.999 and |s| in [0.9, 1.1]: near the
+    # root a full Newton step fails to lower the residual and its half does
+    params = ModelParams(0.2)
+    base = np.array([0.2469122491247131, -0.4525592136675538, 0.3173366025194462])
+    s = -1.0188465011337866
+    gamma = 2.0 * base[1] + s
+    states = []
+    flux = wc.flux_fn
+
+    def recording(state, p):
+        states.append(state)
+        return flux(state, p)
+
+    monkeypatch.setattr(wc, "flux_fn", recording)
+    point = wc.hugoniot(2, base, s, params)
+    F_base = flux(base, params)
+
+    def residual(U):
+        return float(np.linalg.norm(flux(U, params) - F_base - gamma * (U - base)))
+
+    # replay the line search over the evaluated states (the first is the base):
+    # a trial is taken when it lowers the residual of the current iterate
+    current, rejected, halved = states[1], None, []
+    for U in states[2:]:
+        if residual(U) < residual(current):
+            if rejected is not None:
+                halved.append((current, rejected, U))
+            current, rejected = U, None
+        elif rejected is None:
+            rejected = U
+    assert len(halved) == 1
+    before, full, taken = halved[0]
+    assert np.max(np.abs((taken - before) - 0.5 * (full - before))) <= 1e-15
+    assert np.array_equal(point.state, current)
+    assert point.residual == residual(current)
+    assert point.residual <= wc.NEWTON_TOL * (1.0 + np.linalg.norm(F_base))
+    assert np.linalg.norm(point.state) >= 1.6
 
 
 def test_hugoniot_newton_seed_computes_no_rh_residual(monkeypatch):
@@ -322,3 +384,18 @@ def test_curve_warnings():
     assert any("singular" in note for note in near_pole.warnings)
     outside = wc.hugoniot(1, [0.9, 0.2, 0.3], 0.4, ModelParams(0.1))
     assert any("unit ball" in note for note in outside.warnings)
+
+
+@pytest.mark.parametrize("v", [1.6, -1.6])
+def test_only_family2_points_carry_the_2_shock_speed_warning(v):
+    params = ModelParams(0.05)
+    base = np.array([0.1, v, -0.1])
+    ball = "curve point left the unit ball |U| < 1"
+    for fam in (1, 3):
+        for s in (-0.05, 0.05):
+            for curve in (wc.hugoniot, wc.rarefaction):
+                assert curve(fam, base, s, params).warnings == (ball,)
+    for point in (wc.hugoniot(2, base, -0.05, params), wc.rarefaction(2, base, 0.05, params)):
+        assert point.warnings == (
+            "2-shock speed |2v+s| >= 3: approaching the singular locus at 4", ball,
+        )

@@ -207,6 +207,7 @@ def fan_document(fan):
             }
             for w in fan.waves
         ],
+        "iterations": fan.iterations,
     }
 
 
@@ -399,17 +400,24 @@ def _verify_contraction(cfg, params):
     return records
 
 
-# each suite's runner, and its defaults where they differ from the table's (`verify
-# --help` lists them); a runner returns its records unnumbered, and a record passes
-# when its "pass" is true.  hugoniot and taylor22 take no samples.
+def _reads(*keys, **own):
+    """The settings a suite reads, each with its default: `own`, else the table's."""
+    table = {**_SETTINGS["model"], **_SETTINGS["verify"]}
+    return {key: own.get(key, table[key]) for key in (*keys, *own)}
+
+
+# each suite's runner and the settings it reads, with the defaults it runs with
+# (`verify --help` lists those that differ from the table's); a runner returns its
+# records unnumbered, and a record passes when its "pass" is true.  A flag for a
+# setting the suite does not read is refused.
 _SUITES = {
-    "hyperbolicity": (_verify_hyperbolicity, {"samples": 10000}),
-    "gnl": (_verify_gnl, {"samples": 2000, "radius": 0.89}),
-    "hugoniot": (_verify_hugoniot, {}),
-    "taylor22": (_verify_taylor22, {}),
-    "pattern22": (_verify_pattern22, {}),
-    "bounds12": (_verify_bounds12, {"eta": ia.DEFAULT_ETA_12}),
-    "contraction": (_verify_contraction, {"eta": ia.DEFAULT_ETA_12, "samples": 200}),
+    "hyperbolicity": (_verify_hyperbolicity, _reads("eta", "seed", "radius", samples=10000)),
+    "gnl": (_verify_gnl, _reads("eta", "seed", samples=2000, radius=0.89)),
+    "hugoniot": (_verify_hugoniot, _reads("eta")),
+    "taylor22": (_verify_taylor22, _reads("eta", "a")),
+    "pattern22": (_verify_pattern22, _reads("a", "eps", "samples", "seed")),
+    "bounds12": (_verify_bounds12, _reads("samples", "seed", eta=ia.DEFAULT_ETA_12)),
+    "contraction": (_verify_contraction, _reads("seed", eta=ia.DEFAULT_ETA_12, samples=200)),
 }
 VERIFY_SUITES = tuple(_SUITES)
 
@@ -418,15 +426,18 @@ def cmd_verify(args, scenario):
     which = _setting(args, scenario, "verify", "which", str)
     if which not in _SUITES:
         raise DomainError(f"verify suite must be one of {VERIFY_SUITES}, got {which!r}")
-    run, defaults = _SUITES[which]
-    cfg = _settings(args, scenario, "verify", **defaults)
+    run, reads = _SUITES[which]
+    cfg = _settings(args, scenario, "verify", **reads)
+    keys = (*_SETTINGS["model"], *_SETTINGS["verify"])
+    unread = [f"--{key.replace('_', '-')}" for key in keys
+              if key != "which" and key not in reads and getattr(args, key) is not None]
+    if unread:
+        raise DomainError(f"verify {which} does not read {', '.join(unread)}")
     _check_out_paths(args.out)
     params = ModelParams(cfg.eta)
-    # every record is numbered and carries the fully resolved configuration
-    records = [
-        {"scenario_id": i, **rec, "eta": params.eta, "seed": cfg.seed}
-        for i, rec in enumerate(run(cfg, params))
-    ]
+    # every record is numbered and carries the eta and seed it ran with, if its suite reads them
+    config = {key: getattr(cfg, key) for key in ("eta", "seed") if key in reads}
+    records = [{"scenario_id": i, **rec, **config} for i, rec in enumerate(run(cfg, params))]
     write_records(records, list(records[0]), args.out, args.format)
     n_fail = sum(1 for r in records if not r["pass"])
     print(
@@ -586,10 +597,12 @@ def build_parser():
         for key, spec in {**_SETTINGS["model"], **_SETTINGS[command]}.items():
             if key == "which":
                 p.add_argument(key, nargs="?", help=f"the suite: {', '.join(VERIFY_SUITES)} "
-                               "(a suite may set its own defaults, as the flags show)")
+                               "(a suite may set its own defaults, as the flags show, and "
+                               "refuses a flag for a setting it does not read)")
             elif key not in _FILE_ONLY:
                 doc = spec.__doc__.splitlines()[0] if callable(spec) else f"default: {spec}"
-                own = [f"{name} {d[key]}" for name, (_, d) in _SUITES.items() if key in d]
+                own = [f"{name} {d[key]}" for name, (_, d) in _SUITES.items()
+                       if d.get(key, spec) != spec]
                 if command == "verify" and own:
                     doc += f"; {', '.join(own)}"
                 p.add_argument("--" + key.replace("_", "-"), help=doc)

@@ -4,18 +4,24 @@ The solution of the Riemann problem (Ul, Ur) is the triple (s1, s2, s3) with
 
     Ur = D3[s3, D2[s2, D1[s1, Ul]]].
 
-The v-component is constant along families 1 and 3 and advances by exactly
-s2 along family 2, so s2 = v_r - v_l is assigned, never solved.  The outer
-curves are straight lines in v = const whose u-component advances by their
-strength, so for a given s1 the 3-strength is fixed as well:
+In the line coordinates of `flux` (beta = (v u - w)/2, alpha = u - beta)
+the outer wave curves move one coordinate each: a 1-wave moves alpha by
+s1 = alpha_A - alpha_l and a 3-wave moves beta by s3 = beta_C - beta_B,
+both in v = const.  The v-component advances by exactly s2 along family 2,
+so s2 = v_r - v_l is assigned, never solved.  For a given s1
 
-    U_A = Ul + s1 r1(v_l),   U_B = D2[s2, U_A],   s3 = u_r - u_B(s1).
+    u_A = u_l + s1,  w_A = w_l + s1 v_l,   U_B = D2[s2, U_A],
+    s3 = u_r - u_B,  w_C = w_B + s3 (v_B - 2),
 
-What remains is the scalar equation g(s1) = w_C(s1) - w_r = 0, solved by a
-secant iteration in s1.  Each evaluation of g costs one middle wave (a
-Newton solve or an adaptive Dormand-Prince integration).  At eta = 0 the 2-curve is affine in
-(u, w) on both branches, so g is affine and the first secant step lands:
-three middle-wave evaluations per solve.
+and what remains is the scalar equation g(s1) = w_C - w_r = 0, which in
+exact arithmetic is g = 2 (alpha_B - alpha_r).  It is solved by a secant
+iteration in s1 on Python floats: each evaluation of g costs one middle
+wave (a Newton solve on one state array, or an adaptive Dormand-Prince
+integration on floats) and a few float operations.  At eta = 0 the 2-curve
+is affine in (u, w) on both branches, so g is affine and the first secant
+step lands: three middle-wave evaluations per solve.  The state arrays of
+the fan, and the eigenvalues that give the wave speeds, are built once,
+after convergence.
 """
 
 from dataclasses import dataclass
@@ -96,14 +102,6 @@ def classify(fam: int, strength: float, params: ModelParams) -> str:
     return SHOCK if wc.shock_side(fam, strength) else RAREFACTION
 
 
-def _make_wave(fam: int, strength: float, left, right, params: ModelParams) -> Wave:
-    kind = classify(fam, strength, params)
-    lam_l = float(eigenvalues(left, params)[fam - 1])
-    lam_r = float(eigenvalues(right, params)[fam - 1])
-    speed = (lam_l, lam_r) if kind == RAREFACTION else 0.5 * (lam_l + lam_r)
-    return Wave(family=fam, kind=kind, strength=float(strength), left=left, right=right, speed=speed)
-
-
 def solve_riemann(Ul, Ur, params: ModelParams) -> RiemannFan:
     """Solve the Riemann problem between Ul and Ur.
 
@@ -120,16 +118,25 @@ def solve_riemann(Ul, Ur, params: ModelParams) -> RiemannFan:
         if not in_unit_ball(U):
             notes.append(f"{name} state outside the unit ball |U| < 1")
 
-    s2 = float(Ur[1] - Ul[1])
-    ur, wr = Ur[0], Ur[2]
+    ul, vl, wl = Ul.tolist()
+    ur, vr, wr = Ur.tolist()
+    s2 = vr - vl
     scale = 1.0 + float(np.linalg.norm(Ur[[0, 2]]))
 
     def compose(s1: float):
-        UA = wc._line_point(1, Ul, s1)
-        UB = wc.wave_fan_curve(2, UA, s2, params).state if s2 != 0.0 else UA
-        s3 = float(ur - UB[0])
-        UC = wc._line_point(3, UB, s3)
-        return s1, s3, UA, UB, UC, float(UC[2] - wr)
+        # U_A = Ul + s1 r1(v_l) and U_C = U_B + s3 r3(v_B), term by term as the
+        # array sums form them: v + s * 0.0 keeps their signed zeros
+        A = (ul + s1, vl + s1 * 0.0, wl + s1 * vl)
+        if s2 == 0.0:
+            B = A
+        elif s2 < 0.0:  # a 2-shock
+            B = wc._hugoniot2(np.array(A), s2, params).state.tolist()
+        else:
+            uB, wB = wc._rarefaction2(*A, s2, params.eta)
+            B = (uB, A[1] + s2, wB)
+        s3 = ur - B[0]
+        C = (B[0] + s3, B[1] + s3 * 0.0, B[2] + s3 * (B[1] - 2.0))
+        return s1, s3, A, B, C, C[2] - wr
 
     stop = 1e-15 * scale
     prev = compose(0.0)
@@ -146,7 +153,7 @@ def solve_riemann(Ul, Ur, params: ModelParams) -> RiemannFan:
         if abs(trial[-1]) >= abs(cur[-1]):
             break
         prev, cur = cur, trial
-    s1, s3, UA, UB, UC, g = cur
+    s1, s3, A, B, C, g = cur
     if abs(g) > SOLVER_TOL * scale:
         raise ConvergenceError(
             f"Riemann solve residual {abs(g):.3e} above tolerance {SOLVER_TOL:.1e}",
@@ -154,17 +161,24 @@ def solve_riemann(Ul, Ur, params: ModelParams) -> RiemannFan:
             residual=abs(g),
         )
 
+    UC = np.array(C)
+    kept = [(fam, s, right) for fam, s, right in ((1, s1, A), (2, s2, B), (3, s3, UC))
+            if abs(s) > TOL_ZERO]
     waves = []
     left = Ul
-    for fam, s, right in ((1, s1, UA), (2, s2, UB), (3, s3, UC)):
-        if abs(s) <= TOL_ZERO:
-            continue
-        waves.append(_make_wave(fam, s, left, right, params))
-        left = right
+    lam_left = eigenvalues(Ul, params).tolist() if kept else None
+    for fam, s, right in kept:
+        right = np.asarray(right)
+        lam_right = eigenvalues(right, params).tolist()
+        kind = classify(fam, s, params)
+        lam_l, lam_r = lam_left[fam - 1], lam_right[fam - 1]
+        speed = (lam_l, lam_r) if kind == RAREFACTION else 0.5 * (lam_l + lam_r)
+        waves.append(Wave(family=fam, kind=kind, strength=s, left=left, right=right, speed=speed))
+        left, lam_left = right, lam_right
     return RiemannFan(
         left_state=Ul,
         waves=tuple(waves),
-        strengths=(float(s1), s2, s3),
+        strengths=(s1, s2, s3),
         residual=float(np.linalg.norm(UC - Ur)),
         params=params,
         iterations=iterations,

@@ -212,10 +212,9 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339
                                 22 / 525, -1 / 40)
 
 
-def _rarefaction2(base, s: float, eta: float):
-    """(u, w) at v = vb + s on the 2-rarefaction through base; see `rarefaction`."""
+def _rarefaction2(u: float, v: float, w: float, s: float, eta: float):
+    """(u, w) at v + s on the 2-rarefaction through the state (u, v, w); see `rarefaction`."""
     rhs = _r2_line_at
-    u, v, w = base.tolist()
     a, b = _line_coords(u, v, w)
     v_end = v + s
     h = v_end - v  # s, as far as v resolves it: the first trial step lands on v_end
@@ -285,7 +284,7 @@ def rarefaction(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
         state = _line_point(fam, base, s)
         speed = float(eigenvalues(state, params)[fam - 1])
         return CurvePoint(state=state, speed=speed, warnings=_curve_warnings(state))
-    u, w = _rarefaction2(base, float(s), params.eta)
+    u, w = _rarefaction2(*base.tolist(), float(s), params.eta)
     y = np.array([u, base[1] + s, w])
     speed = 2.0 * y[1]  # middle eigenvalue is exactly 2v
     return CurvePoint(state=y, speed=speed,

@@ -11,6 +11,9 @@ The tracker's observables are recomputed by a plain loop over the fronts, and
 its next collision by one Python call per neighbour pair; the L1 distance of
 two tracker solutions is summed exactly over the merged front positions.
 Shock speeds are fitted to the Rankine-Hugoniot condition by least squares.
+The Riemann problem is solved by the same secant in s1 as the library's, but
+every trial state is a (3,) array composed through `wave_fan_curve`, and each
+wave takes its speed from two `eigenvalues` calls of its own.
 The flux at eta = 0 is linear in (u, w) with a 2x2 matrix of v, and the 1-2
 outgoing-strength system has a matrix whose inverse the library writes in
 closed form.
@@ -22,7 +25,9 @@ import numpy as np
 
 import bjsystem.flux as fx
 import bjsystem.fronttrack as ft
+import bjsystem.riemann as rm
 import bjsystem.wavecurves as wc
+from bjsystem.errors import ConvergenceError
 
 _TWO_PI_THIRDS = 2.0 * np.pi / 3.0
 
@@ -200,6 +205,81 @@ def closed_form_rarefaction2(base, s):
     n, dn = c1 * n1 + c2 * n2, c1 * dn1 + c2 * dn2
     alpha, beta = (n - (v - 2.0) * dn) / 4.0, ((v + 2.0) * dn - n) / 4.0
     return np.array([alpha + beta, v, v * (alpha + beta) - 2.0 * beta])
+
+
+def make_wave(fam, strength, left, right, params):
+    """A fan wave from its end states, with speeds from two `eigenvalues` calls."""
+    kind = rm.classify(fam, strength, params)
+    lam_l = float(fx.eigenvalues(left, params)[fam - 1])
+    lam_r = float(fx.eigenvalues(right, params)[fam - 1])
+    speed = (lam_l, lam_r) if kind == rm.RAREFACTION else 0.5 * (lam_l + lam_r)
+    return rm.Wave(family=fam, kind=kind, strength=float(strength), left=left, right=right,
+                   speed=speed)
+
+
+def solve_riemann_arrays(Ul, Ur, params):
+    """`riemann.solve_riemann` with every trial state composed on (3,) arrays.
+
+    Each trial s1 gives U_A on the straight 1-line, U_B = D2[s2, U_A] from
+    `wave_fan_curve` and U_C on the straight 3-line through U_B.  The secant,
+    its start, its stopping rule and its errors are the library's.
+    """
+    Ul = fx.as_state(Ul)
+    Ur = fx.as_state(Ur)
+    notes = []
+    for name, U in (("left", Ul), ("right", Ur)):
+        if not fx.in_unit_ball(U):
+            notes.append(f"{name} state outside the unit ball |U| < 1")
+
+    s2 = float(Ur[1] - Ul[1])
+    ur, wr = Ur[0], Ur[2]
+    scale = 1.0 + float(np.linalg.norm(Ur[[0, 2]]))
+
+    def compose(s1):
+        UA = wc._line_point(1, Ul, s1)
+        UB = wc.wave_fan_curve(2, UA, s2, params).state if s2 != 0.0 else UA
+        s3 = float(ur - UB[0])
+        UC = wc._line_point(3, UB, s3)
+        return s1, s3, UA, UB, UC, float(UC[2] - wr)
+
+    stop = 1e-15 * scale
+    prev = compose(0.0)
+    cur = compose(-0.5 * prev[-1]) if abs(prev[-1]) > stop else prev
+    iterations = 1 if cur is prev else 2
+    if abs(cur[-1]) > abs(prev[-1]):
+        prev, cur = cur, prev
+    for _ in range(rm.MAX_ITER):
+        if abs(cur[-1]) <= stop or cur[-1] == prev[-1]:
+            break
+        trial = compose(cur[0] - cur[-1] * (cur[0] - prev[0]) / (cur[-1] - prev[-1]))
+        iterations += 1
+        if abs(trial[-1]) >= abs(cur[-1]):
+            break
+        prev, cur = cur, trial
+    s1, s3, UA, UB, UC, g = cur
+    if abs(g) > rm.SOLVER_TOL * scale:
+        raise ConvergenceError(
+            f"Riemann solve residual {abs(g):.3e} above tolerance {rm.SOLVER_TOL:.1e}",
+            iterate=(s1, s3),
+            residual=abs(g),
+        )
+
+    waves = []
+    left = Ul
+    for fam, s, right in ((1, s1, UA), (2, s2, UB), (3, s3, UC)):
+        if abs(s) <= rm.TOL_ZERO:
+            continue
+        waves.append(make_wave(fam, s, left, right, params))
+        left = right
+    return rm.RiemannFan(
+        left_state=Ul,
+        waves=tuple(waves),
+        strengths=(float(s1), s2, s3),
+        residual=float(np.linalg.norm(UC - Ur)),
+        params=params,
+        iterations=iterations,
+        warnings=tuple(notes),
+    )
 
 
 def bisect_rarefaction(wave, xi, params, tol=1e-12):

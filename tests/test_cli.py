@@ -786,3 +786,90 @@ def test_fronttrack_non_finite_input_exits_1_writing_nothing(tmp_path, capsys, j
     captured = capsys.readouterr()
     assert _one_error_line(captured) and named in captured.err
     assert list(tmp_path.glob("run_*")) == []
+
+
+@pytest.mark.parametrize(
+    "suite, argv, named",
+    [
+        ("hugoniot", ["--samples", "5"], "--samples"),
+        ("hugoniot", ["--seed", "3"], "--seed"),
+        ("hugoniot", ["--radius", "0.5", "--a", "0.3"], "--a, --radius"),
+        ("taylor22", ["--samples", "5"], "--samples"),
+        ("taylor22", ["--seed", "3", "--eps", "0.02"], "--eps, --seed"),
+        ("taylor22", ["--radius", "0.5"], "--radius"),
+        ("pattern22", ["--eta", "0.1"], "--eta"),
+        ("bounds12", ["--radius", "0.5"], "--radius"),
+        ("contraction", ["--a", "0.3"], "--a"),
+        ("hyperbolicity", ["--eps", "0.02"], "--eps"),
+    ],
+)
+def test_verify_refuses_a_flag_its_suite_does_not_read(tmp_path, capsys, suite, argv, named):
+    out = tmp_path / "report.csv"
+    assert run_cli("verify", suite, *argv, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert _one_error_line(captured)
+    assert captured.err == f"error: verify {suite} does not read {named}\n"
+    assert not out.exists()
+
+
+def test_verify_reads_an_unread_setting_from_a_file_without_complaint(tmp_path, capsys):
+    # a scenario file may serve several suites: only a flag is refused
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"verify": {"which": "taylor22", "samples": 5, "seed": 3}}))
+    assert run_cli("verify", "--scenario", str(scenario)) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+class _Reading:
+    """Hands out `values` by attribute and notes each name read."""
+
+    def __init__(self, values, seen):
+        self._values, self._seen = values, seen
+
+    def __getattr__(self, key):
+        self._seen.add(key)
+        return self._values[key]
+
+
+@pytest.mark.parametrize("suite", cli.VERIFY_SUITES)
+def test_each_suite_entry_names_exactly_the_settings_its_runner_reads(suite):
+    run, reads = cli._SUITES[suite]
+    table = {**cli._SETTINGS["model"], **cli._SETTINGS["verify"], **reads}
+    seen = set()
+    cfg = _Reading({**table, "samples": min(table["samples"], 3)}, seen)
+    records = run(cfg, _Reading({"eta": table["eta"]}, seen))
+    assert records and all(r["pass"] for r in records)
+    assert seen == set(reads)
+
+
+@pytest.mark.parametrize(
+    "suite, argv, columns",
+    [
+        ("hugoniot", [], {"eta"}),
+        ("taylor22", ["--a", "0.25"], {"eta"}),
+        ("pattern22", ["--samples", "3", "--seed", "2"], {"seed"}),
+        ("hyperbolicity", ["--samples", "3", "--seed", "2"], {"eta", "seed"}),
+        ("contraction", ["--samples", "3", "--seed", "2"], {"eta", "seed"}),
+    ],
+)
+def test_verify_records_carry_only_the_eta_and_seed_their_suite_reads(tmp_path, suite, argv,
+                                                                       columns):
+    out = tmp_path / "report.json"
+    assert run_cli("verify", suite, *argv, "--out", str(out), "--format", "json") == 0
+    for record in json.loads(out.read_text())["records"]:
+        assert {"eta", "seed"} & set(record) == columns
+        assert record.get("seed", 2) == 2
+
+
+def test_riemann_fan_json_ends_with_the_solver_iterations(tmp_path):
+    params = ModelParams(0.05)
+    Ul = np.array([0.25, 0.0, -0.25])
+    Ur = Ul
+    for fam, s in ((1, -0.02), (2, 0.1), (3, -0.03)):
+        Ur = wc.wave_fan_curve(fam, Ur, s, params).state
+    out = tmp_path / "fan.json"
+    argv = ["--ul", ",".join(map(repr, Ul.tolist())), "--ur", ",".join(map(repr, Ur.tolist()))]
+    assert run_cli("riemann", *argv, "--eta", "0.05", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert list(doc)[-1] == "iterations"
+    assert doc["iterations"] == cli.solve_riemann(Ul, Ur, params).iterations > 1

@@ -87,7 +87,7 @@ def test_emit_fronts_integrates_each_piece_from_the_previous_one(monkeypatch):
     params = ModelParams(0.05)
     base = np.array([0.1, -0.05, 0.1])
     right = wc.rarefaction(2, base, 0.1, params).state
-    wave = rm._make_wave(2, 0.1, base, right, params)
+    wave = oracles.make_wave(2, 0.1, base, right, params)
     st = ft.TrackerState(
         params=ft.TrackerParams(model=params, delta=1e-3),
         time=0.0,
@@ -161,7 +161,7 @@ def test_a_rarefaction_above_the_piece_limit_raises_before_any_piece(monkeypatch
     params = ModelParams(1e-3)
     U0 = np.array([0.2, 0.0, -0.2])
     U1 = wc.rarefaction(2, U0, 5e-3, params).state
-    wave = rm._make_wave(2, 5e-3, U0, U1, params)
+    wave = oracles.make_wave(2, 5e-3, U0, U1, params)
     st = ft.TrackerState(
         params=ft.TrackerParams(model=params, delta=1e-12),
         time=0.0,

@@ -15,7 +15,6 @@ from bjsystem.riemann import (
     RAREFACTION,
     SHOCK,
     Wave,
-    _make_wave,
     check_fan,
     evaluate_fan,
     solve_riemann,
@@ -318,14 +317,18 @@ def test_solve_evaluates_each_middle_wave_once(monkeypatch, eta, strengths, expe
     Ur = compose(Ul, strengths, params)
     reference = solve_riemann(Ul, Ur, params)
     evaluations = []
-    original = wc.wave_fan_curve
+    hugoniot2, rarefaction2 = wc._hugoniot2, wc._rarefaction2
 
-    def counting(fam, base, s, params):
-        if fam == 2:
-            evaluations.append((np.asarray(base, dtype=float).tobytes(), s))
-        return original(fam, base, s, params)
+    def counting_hugoniot2(base, s, params):
+        evaluations.append((tuple(base.tolist()), s))
+        return hugoniot2(base, s, params)
 
-    monkeypatch.setattr(wc, "wave_fan_curve", counting)
+    def counting_rarefaction2(u, v, w, s, eta):
+        evaluations.append(((u, v, w), s))
+        return rarefaction2(u, v, w, s, eta)
+
+    monkeypatch.setattr(wc, "_hugoniot2", counting_hugoniot2)
+    monkeypatch.setattr(wc, "_rarefaction2", counting_rarefaction2)
     fan = solve_riemann(Ul, Ur, params)
     assert evaluations and len(set(evaluations)) == len(evaluations)
     assert len(evaluations) == fan.iterations
@@ -368,11 +371,14 @@ def test_weak_wave_speeds_are_the_exact_eigenvalue_means(eta):
         for fam, sign in ((1, -1.0), (2, -1.0), (3, 1.0)):
             for size in (1e-3, 1e-6, 1e-9, 1e-12):
                 right = wc.hugoniot(fam, base, sign * size, params).state
-                wave = _make_wave(fam, sign * size, base, right, params)
-                (a_l, b_l), (a_r, b_r) = (fx._line_coords(*U.tolist()) for U in (base, right))
+                (wave,) = solve_riemann(base, right, params).waves
+                assert wave.family == fam and wave.kind != RAREFACTION
+                (a_l, b_l), (a_r, b_r) = (
+                    fx._line_coords(*U.tolist()) for U in (wave.left, wave.right)
+                )
                 exact = {
                     1: -4.0 + 2.0 * eta * (a_l + a_r),
-                    2: base[1] + right[1],
+                    2: wave.left[1] + wave.right[1],
                     3: 4.0 - 2.0 * eta * (b_l + b_r),
                 }[fam]
                 assert abs(wave.speed - exact) <= 1e-15 * (1.0 + abs(exact))
@@ -389,3 +395,80 @@ def test_seeded_random_pairs_with_a_2_rarefaction_solve_and_pass_diagnostics(eta
         assert [w.kind for w in fan.waves if w.family == 2] == [RAREFACTION]
         assert check_fan(fan, params).ok
         assert fan.residual <= 1e-12
+
+
+def _fan_record(fan):
+    """Every float and state byte of a solved fan."""
+    return (
+        fan.strengths, fan.residual, fan.iterations, fan.warnings,
+        fan.left_state.tobytes(), fan.right_state.tobytes(),
+        [(w.family, w.kind, w.strength, w.speed, w.left.tobytes(), w.right.tobytes())
+         for w in fan.waves],
+    )
+
+
+def _composed_strengths(rng):
+    """One strength per family: zero, below TOL_ZERO, or up to 0.2 of either sign."""
+    out = []
+    for _ in range(3):
+        mode = rng.integers(6)
+        size = {0: 0.0, 1: 1e-14}.get(mode, 10.0 ** rng.uniform(-6.0, np.log10(0.2)))
+        out.append(size if mode % 2 else -size)
+    return out
+
+
+@pytest.mark.parametrize("eta", list(FUZZ_SEEDS))
+def test_float_solve_matches_the_array_compose_bit_for_bit(eta):
+    # 300 pairs composed along the wave curves, so every wave-kind combination
+    # comes up, with waves left out (|s| <= TOL_ZERO) and s2 = 0 among them
+    params = ModelParams(eta)
+    rng = np.random.default_rng([2029, FUZZ_SEEDS[eta]])
+    kinds = set()
+    for Ul in oracles.ball_sample(rng, 300, 0.6):
+        strengths = _composed_strengths(rng)
+        fan = solve_riemann(Ul, compose(Ul, strengths, params), params)
+        reference = oracles.solve_riemann_arrays(Ul, compose(Ul, strengths, params), params)
+        assert _fan_record(fan) == _fan_record(reference)
+        kinds.add(tuple(next((w.kind for w in fan.waves if w.family == fam), None)
+                        for fam in (1, 2, 3)))
+    outer = [None, CONTACT] if eta == 0.0 else [None, SHOCK, RAREFACTION]
+    middle = [None, SHOCK, RAREFACTION]
+    assert kinds == {(a, b, c) for a in outer for b in middle for c in outer}
+
+
+# pairs with 0.9 <= |U| < 0.999 whose solve fails at eta >= 0.2
+EDGE_OF_BALL = [
+    (0.2, [0.145, -0.9347, 0.088], [0.5665, 0.3807, 0.6934]),
+    (0.2, [0.1541, -0.885, 0.4336], [0.5269, 0.4159, 0.6739]),
+    (0.2499, [-0.1764, -0.176, -0.9324], [0.0329, 0.9767, 0.0415]),
+    (0.2499, [-0.1013, -0.3519, -0.9023], [-0.507, 0.717, -0.3183]),
+    (0.2499, [-0.2121, -0.9323, -0.0105], [0.8724, 0.1275, 0.2568]),
+    (0.2499, [-0.1444, -0.899, 0.1297], [0.8758, 0.1115, 0.2932]),
+]
+
+
+@pytest.mark.parametrize("eta, Ul, Ur", EDGE_OF_BALL)
+def test_edge_of_ball_failures_match_the_array_compose(eta, Ul, Ur):
+    params = ModelParams(eta)
+    with pytest.raises(ConvergenceError) as reference:
+        oracles.solve_riemann_arrays(Ul, Ur, params)
+    with pytest.raises(ConvergenceError) as err:
+        solve_riemann(Ul, Ur, params)
+    assert str(err.value) == str(reference.value)
+    assert repr(err.value.iterate) == repr(reference.value.iterate)
+    assert err.value.residual == reference.value.residual
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.1])
+def test_float_solve_keeps_the_signed_zeros_of_the_array_compose(eta):
+    # Ul + s1 r1 turns v_l = -0.0 into +0.0 for s1 >= 0, and the float compose must too
+    params = ModelParams(eta)
+    pairs = [
+        ([0.1, -0.0, 0.2], [0.3, 0.1, -0.1]),
+        ([0.1, -0.0, 0.2], [-0.3, -0.0, -0.1]),
+        ([0.1, 0.2, 0.2], [-0.3, -0.0, 0.4]),
+        ([-0.0, -0.0, -0.0], [0.0, 0.0, 0.0]),
+    ]
+    for Ul, Ur in pairs:
+        fan = solve_riemann(Ul, Ur, params)
+        assert _fan_record(fan) == _fan_record(oracles.solve_riemann_arrays(Ul, Ur, params))

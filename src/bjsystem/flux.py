@@ -92,6 +92,12 @@ def in_unit_ball(U) -> bool:
     return bool(np.linalg.norm(U) < 1.0)
 
 
+def check_in_ball(name: str, U: np.ndarray) -> None:
+    """Raise DomainError, naming the state, unless U lies in the unit ball |U| < 1."""
+    if not in_unit_ball(U):
+        raise DomainError(f"{name} violates |U| < 1: {U.tolist()}")
+
+
 def _entries(A: np.ndarray, rank: int):
     """Entries of one state (rank 1) or matrix (rank 2), or of a batch of them.
 

@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, HyperbolicityError, TrackerEventError
 from . import wavecurves as wc
-from .flux import ModelParams, as_state, eigenvalues
+from .flux import ModelParams, as_state, check_in_ball, eigenvalues
 from .flux import flux as flux_fn
 from .riemann import RAREFACTION, solve_riemann
 
@@ -252,10 +252,16 @@ def init_from_piecewise(
     empty (every wave at most TOL_ZERO) emits nothing, and the next fan
     starts from the last emitted state, so it absorbs the dropped jump.
     The rows of the fronts are built once, when the fronts are spliced into
-    the new state.  The positions must be finite and strictly increasing.
+    the new state.  The positions must be finite and strictly increasing,
+    and every state must lie in the unit ball |U| < 1 (DomainError before
+    any solve).
     """
     U_leftmost = as_state(U_leftmost)
     _check_positions(jumps)
+    jumps = [(x, as_state(U)) for x, U in jumps]
+    check_in_ball("u_left", U_leftmost)
+    for k, (x, U) in enumerate(jumps):
+        check_in_ball(f"state of jump {k} (x={x})", U)
     st = TrackerState(
         params=TrackerParams(model=model, delta=delta),
         time=0.0,
@@ -265,7 +271,6 @@ def init_from_piecewise(
     fronts = []
     current = U_leftmost
     for k, (x, U) in enumerate(jumps):
-        U = as_state(U)
         try:
             fan = solve_riemann(current, U, model)
         except ConvergenceError as exc:
@@ -299,10 +304,11 @@ def next_collision(st: TrackerState) -> CollisionCandidate | None:
     (b_right - b_left) / (speed_left - speed_right) if the left front is
     faster by more than SPEED_TIE_TOL, a meeting more than TOL_EVENT in the
     past is dropped, and one less than TOL_EVENT in the past happens now.
-    Ties at distinct positions resolve left to right.  A candidate of just a
-    3-front and a 1-front is a crossing that `resolve_collision` passes
-    through without a Riemann solve; a third front meeting at the same point
-    makes it a general collision.
+    Ties at distinct positions resolve in list order, which is the spatial
+    order: the first run of adjacent colliding pairs wins.  A candidate of
+    just a 3-front and a 1-front is a crossing that `resolve_collision`
+    passes through without a Riemann solve; a third front meeting at the
+    same point makes it a general collision.
     """
     fronts = st.fronts
     if len(fronts) < 2:
@@ -319,24 +325,16 @@ def next_collision(st: TrackerState) -> CollisionCandidate | None:
         return None
     t_min = max(t_min, st.time)
     near = np.flatnonzero(times <= t_min + TOL_EVENT).tolist()
-    # group adjacent pair indices into runs: i, i+1 colliding and i+1, i+2 colliding
-    runs = [[near[0]]]
+    # the first run of adjacent pairs (i, i+1 colliding and i+1, i+2 colliding) is the leftmost
+    last = near[0]
     for i in near[1:]:
-        if i == runs[-1][-1] + 1:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    # leftmost run by collision position
-    best = None
-    for run in runs:
-        x = fronts[run[0]].position(t_min)
-        if best is None or x < best[0]:
-            best = (x, run)
-    x, run = best
-    indices = tuple(range(run[0], run[-1] + 2))
+        if i != last + 1:
+            break
+        last = i
+    indices = tuple(range(near[0], last + 2))
     return CollisionCandidate(
         time=t_min,
-        position=x,
+        position=fronts[near[0]].position(t_min),
         front_ids=tuple(fronts[i].uid for i in indices),
         indices=indices,
     )

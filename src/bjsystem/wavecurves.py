@@ -9,11 +9,12 @@ closed form
 
 with shock speed gamma = 2 vb + s, and E singular at |2 vb + s| = 4.  The
 v-row of Rankine-Hugoniot fixes that speed for every eta, so for eta > 0
-Newton on the u- and w-rows alone corrects the closed form; both cases run
-through `_hugoniot2`.  The rarefaction branch integrates the middle
-eigenvector field as a 2-D ODE in v for the line coordinates (alpha, beta)
-of `flux`, with an adaptive Dormand-Prince 5(4) pair whose local error
-tolerance is RARE_TOL relative to 1 + max(|alpha|, |beta|).
+Newton on the u- and w-rows alone corrects the closed form, taking full
+steps while they lower the residual; both cases run through `_hugoniot2`.
+The rarefaction branch integrates the middle eigenvector field as a 2-D ODE
+in v for the line coordinates (alpha, beta) of `flux`, with an adaptive
+Dormand-Prince 5(4) pair whose local error tolerance is RARE_TOL relative
+to 1 + max(|alpha|, |beta|).
 
 Every shock speed is explicit.  lambda_1 is affine in alpha along r_1,
 lambda_3 is affine in beta along r_3 and lambda_2 = 2v, so a jump along a
@@ -132,9 +133,11 @@ def _hugoniot2(base, s, params):
     (u, w) are unknown.  They start at the closed form Ub + E(vb, s) Ub,
     which is the answer at eta = 0 (SingularCurveError when |gamma| >= 4).
     For eta > 0 Newton on the u- and w-rows, with the 2x2 block of
-    jacobian - gamma I and a halving line search, corrects them (from the
-    base past the singular locus) until the residual is below
-    NEWTON_TOL (1 + |F(Ub)|), or raises ConvergenceError.
+    jacobian - gamma I, corrects them (from the base past the singular
+    locus).  It takes full steps only: it stops below 1e-15 (1 + |F(Ub)|)
+    or at the iterate before a step that does not lower the residual, and
+    raises ConvergenceError unless the residual is below
+    NEWTON_TOL (1 + |F(Ub)|).
     """
     if s == 0.0:
         return CurvePoint(state=base.copy(), speed=2.0 * base[1])
@@ -165,13 +168,10 @@ def _hugoniot2(base, s, params):
                 raise ConvergenceError(
                     "singular Jacobian in 2-Hugoniot Newton solve", iterate=state, residual=r_norm
                 ) from exc
-            for k in range(30):
-                trial = residual(state[::2] - 0.5**k * step)
-                if trial[2] < r_norm:
-                    state, R, r_norm = trial
-                    break
-            else:  # no step length lowers the residual
+            trial = residual(state[::2] - step)
+            if not trial[2] < r_norm:  # a full step that does not lower the residual ends it
                 break
+            state, R, r_norm = trial
         if r_norm > NEWTON_TOL * scale:
             raise ConvergenceError(
                 f"2-Hugoniot Newton residual {r_norm:.3e} above tolerance",

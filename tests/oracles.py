@@ -14,6 +14,8 @@ Shock speeds are fitted to the Rankine-Hugoniot condition by least squares.
 The Riemann problem is solved by the same secant in s1 as the library's, but
 every trial state is a (3,) array composed through `wave_fan_curve`, and each
 wave takes its speed from two `eigenvalues` calls of its own.
+The family-2 Hugoniot Newton is kept with the halving line search that the
+library's full-step rule replaced.
 The flux at eta = 0 is linear in (u, w) with a 2x2 matrix of v, and the 1-2
 outgoing-strength system has a matrix whose inverse the library writes in
 closed form.
@@ -27,7 +29,7 @@ import bjsystem.flux as fx
 import bjsystem.fronttrack as ft
 import bjsystem.riemann as rm
 import bjsystem.wavecurves as wc
-from bjsystem.errors import ConvergenceError
+from bjsystem.errors import ConvergenceError, SingularCurveError
 
 _TWO_PI_THIRDS = 2.0 * np.pi / 3.0
 
@@ -154,6 +156,59 @@ def rh_speed(left, right, params):
     gamma = float(dF @ dU) / den
     residual = float(np.linalg.norm(dF - gamma * dU))
     return gamma, residual
+
+
+def hugoniot2_line_search(base, s, params):
+    """Family-2 Hugoniot point by Newton with a halving line search.
+
+    The same seed, 2x2 block and stops as `wavecurves._hugoniot2`, but a full
+    step that does not lower the residual is halved up to 29 times, and only
+    a step that no halving makes lower ends the Newton.
+    """
+    base = fx.as_state(base)
+    if s == 0.0:
+        return wc.CurvePoint(state=base.copy(), speed=2.0 * base[1])
+    gamma = 2.0 * base[1] + s
+    uw = base[[0, 2]]
+    try:
+        uw = uw + wc.hugoniot_matrix(base[1], s) @ uw
+    except SingularCurveError:
+        if params.eta == 0.0:
+            raise
+    F_base = fx.flux(base, params)
+
+    def residual(uw):
+        state = np.array([uw[0], base[1] + s, uw[1]])
+        R = fx.flux(state, params) - F_base - gamma * (state - base)
+        return state, R, float(np.linalg.norm(R))
+
+    state, R, r_norm = residual(uw)
+    if params.eta > 0.0:
+        scale = 1.0 + float(np.linalg.norm(F_base))
+        for _ in range(wc.NEWTON_MAX_ITER):
+            if r_norm <= 1e-15 * scale:
+                break
+            J = fx.jacobian(state, params)[::2, ::2]
+            try:
+                step = np.linalg.solve(J - gamma * np.eye(2), R[::2])
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(
+                    "singular Jacobian in 2-Hugoniot Newton solve", iterate=state, residual=r_norm
+                ) from exc
+            for k in range(30):
+                trial = residual(state[::2] - 0.5**k * step)
+                if trial[2] < r_norm:
+                    state, R, r_norm = trial
+                    break
+            else:  # no step length lowers the residual
+                break
+        if r_norm > wc.NEWTON_TOL * scale:
+            raise ConvergenceError(
+                f"2-Hugoniot Newton residual {r_norm:.3e} above tolerance",
+                iterate=state, residual=r_norm,
+            )
+    return wc.CurvePoint(state=state, speed=gamma, residual=r_norm,
+                         warnings=wc._curve_warnings(state, gamma))
 
 
 def rk4_rarefaction2(base, s, params, step=1e-3):

@@ -8,7 +8,7 @@ import pytest
 import bjsystem.fronttrack as ft
 import bjsystem.riemann as rm
 import bjsystem.wavecurves as wc
-from bjsystem.errors import DomainError, HyperbolicityError, TrackerEventError
+from bjsystem.errors import ConvergenceError, DomainError, HyperbolicityError, TrackerEventError
 from bjsystem.flux import ModelParams, eigenvalues
 
 import oracles
@@ -117,6 +117,36 @@ def test_emit_fronts_integrates_each_piece_from_the_previous_one(monkeypatch):
 def test_init_rejects_unsorted_positions():
     with pytest.raises(DomainError):
         ft.init_from_piecewise([(1.0, np.zeros(3)), (0.0, np.zeros(3))], np.zeros(3), P0)
+
+
+@pytest.mark.parametrize(
+    "u_left, jumps, named",
+    [
+        # without the check, the Riemann solve of jump 1 raises ConvergenceError
+        ([0.1, 0.0, -0.1], [(0.0, [0.1, 0.1, -0.1]), (0.5, [3.0, 1.9, 2.0])],
+         "state of jump 1 (x=0.5) violates |U| < 1: [3.0, 1.9, 2.0]"),
+        ([0.6, 0.6, 0.6], [(0.5, [0.1, 0.0, -0.1])], "u_left violates |U| < 1: [0.6, 0.6, 0.6]"),
+    ],
+)
+def test_init_refuses_a_state_outside_the_ball_before_any_solve(monkeypatch, u_left, jumps,
+                                                                named):
+    solves = []
+    monkeypatch.setattr(ft, "solve_riemann", lambda *args: solves.append(args))
+    with pytest.raises(DomainError) as err:
+        ft.init_from_piecewise(jumps, u_left, ModelParams(0.2))
+    assert str(err.value) == named
+    assert solves == []
+
+
+def test_init_names_the_jump_whose_riemann_solve_failed():
+    # the first EDGE_OF_BALL pair of test_riemann.py, both states inside the ball
+    Ul, Ur = [0.145, -0.9347, 0.088], [0.5665, 0.3807, 0.6934]
+    with pytest.raises(ConvergenceError) as err:
+        ft.init_from_piecewise([(0.0, Ur)], Ul, ModelParams(0.2))
+    assert str(err.value).startswith("initialization failed at jump 0 (x=0.0): ")
+    cause = err.value.__cause__
+    assert str(err.value).endswith(str(cause))
+    assert err.value.iterate is cause.iterate and err.value.residual == cause.residual
 
 
 @pytest.mark.parametrize("xs", [[np.nan], [0.0, np.nan], [np.inf], [-np.inf, 0.0], [0.0, 0.0]])
@@ -781,6 +811,9 @@ def test_state_rows_equal_fresh_gathers_after_every_event(monkeypatch, run, n_ev
     for _ in range(n_events):
         ft.resolve_collision(st, ft.next_collision(st))
         _assert_rows_fresh(st, norms)
+        # the list order is the spatial order, so `next_collision`'s first run is the leftmost
+        x = st.positions()
+        assert all(a <= b for a, b in zip(x, x[1:]))
     ft.observables(st)
     assert rebuilds == []
 

@@ -5,7 +5,7 @@ import pytest
 
 import bjsystem.interactions as ia
 import bjsystem.wavecurves as wc
-from bjsystem.errors import DomainError
+from bjsystem.errors import ContractionError, DomainError
 from bjsystem.flux import ModelParams
 
 import oracles
@@ -160,6 +160,29 @@ def test_contraction_matches_riemann_solver():
     assert agreement <= 1e-10
     assert result.contraction_ratio <= 0.5
     assert result.empirical_k > 0.0
+
+
+def test_contraction_out_of_steps_raises_with_its_trace(monkeypatch):
+    sc = ia.Interaction12Scenario(Ul=np.array([0.25, 0.0, -0.25]), s=-0.2, sigma=-0.1, eta=1e-3)
+    assert ia.contraction_solve_12(sc).iterations == 3
+    monkeypatch.setattr(ia, "CONTRACTION_MAX_ITER", 2)
+    with pytest.raises(ContractionError, match="did not converge in 2 steps") as err:
+        ia.contraction_solve_12(sc)
+    assert len(err.value.trace) == 2
+    assert err.value.residual == err.value.trace[-1] > ia.CONTRACTION_TOL
+    assert err.value.iterate.shape == (2,)
+
+
+def test_contraction_that_stops_contracting_raises_with_its_trace(monkeypatch):
+    # a steep linear p1 makes the map expand: each step is longer than the one before
+    sc = ia.Interaction12Scenario(Ul=np.array([0.25, 0.0, -0.25]), s=-0.2, sigma=-0.1, eta=1e-3)
+    monkeypatch.setattr(ia, "p1", lambda U: 1e5 * U[0])
+    with pytest.raises(ContractionError, match="stopped contracting") as err:
+        ia.contraction_solve_12(sc)
+    trace = err.value.trace
+    assert len(trace) == 3 and trace[0] < trace[1] < trace[2]
+    assert err.value.residual == trace[-1]
+    assert err.value.iterate.shape == (2,)
 
 
 def test_interact_12_zero_1_shock_passes_through():

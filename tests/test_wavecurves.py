@@ -121,9 +121,11 @@ def test_hugoniot_family2_matches_independent_newton_over_the_ball(eta):
     assert worst <= 1e-11
 
 
-def test_hugoniot_family2_newton_halves_a_step_that_does_not_lower_the_residual(monkeypatch):
+def test_hugoniot_family2_newton_stops_before_a_full_step_that_does_not_lower_the_residual(
+    monkeypatch,
+):
     # found by a seeded search over |Ub| < 0.999 and |s| in [0.9, 1.1]: near the
-    # root a full Newton step fails to lower the residual and its half does
+    # root a full Newton step fails to lower the residual
     params = ModelParams(0.2)
     base = np.array([0.2469122491247131, -0.4525592136675538, 0.3173366025194462])
     s = -1.0188465011337866
@@ -139,26 +141,82 @@ def test_hugoniot_family2_newton_halves_a_step_that_does_not_lower_the_residual(
     point = wc.hugoniot(2, base, s, params)
     F_base = flux(base, params)
 
-    def residual(U):
-        return float(np.linalg.norm(flux(U, params) - F_base - gamma * (U - base)))
+    def rh(U):
+        return flux(U, params) - F_base - gamma * (U - base)
 
-    # replay the line search over the evaluated states (the first is the base):
-    # a trial is taken when it lowers the residual of the current iterate
-    current, rejected, halved = states[1], None, []
-    for U in states[2:]:
-        if residual(U) < residual(current):
-            if rejected is not None:
-                halved.append((current, rejected, U))
-            current, rejected = U, None
-        elif rejected is None:
-            rejected = U
-    assert len(halved) == 1
-    before, full, taken = halved[0]
-    assert np.max(np.abs((taken - before) - 0.5 * (full - before))) <= 1e-15
-    assert np.array_equal(point.state, current)
-    assert point.residual == residual(current)
-    assert point.residual <= wc.NEWTON_TOL * (1.0 + np.linalg.norm(F_base))
+    # the evaluated states are the base, the seed and then one per full step:
+    # each step lowers the residual except the last, which ends the Newton
+    residuals = [float(np.linalg.norm(rh(U))) for U in states[1:]]
+    assert all(a > b for a, b in zip(residuals, residuals[1:-1]))
+    assert residuals[-1] >= residuals[-2]
+    before = states[-2]
+    J = fx.jacobian(before, params)[::2, ::2]
+    step = np.linalg.solve(J - gamma * np.eye(2), rh(before)[::2])
+    assert np.array_equal(states[-1][::2], before[::2] - step)
+    assert np.array_equal(point.state, before)
+    assert point.residual == residuals[-2]
+    scale = 1.0 + np.linalg.norm(F_base)
+    assert 1e-15 * scale < point.residual <= wc.NEWTON_TOL * scale
     assert np.linalg.norm(point.state) >= 1.6
+
+
+@pytest.mark.parametrize("eta", [1e-3, 0.05, 0.2, 0.2499])
+def test_hugoniot_family2_full_steps_match_the_line_search_newton(eta):
+    # the halving line search never changes a verdict: the same points raise, the
+    # states inside the ball are bit-identical and the others agree to rounding
+    params = ModelParams(eta)
+    rng = np.random.default_rng([77, int(eta * 1e4)])
+    bases = oracles.ball_sample(rng, 500, 0.999)
+    n_raised = n_inside = 0
+    for base, s in zip(bases, rng.uniform(-1.5, 1.5, len(bases))):
+        try:
+            reference = oracles.hugoniot2_line_search(base, s, params)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                wc.hugoniot(2, base, s, params)
+            n_raised += 1
+            continue
+        point = wc.hugoniot(2, base, s, params)
+        norm = np.linalg.norm(reference.state)
+        if norm < 1.0:
+            assert np.array_equal(point.state, reference.state)
+            assert (point.speed, point.residual) == (reference.speed, reference.residual)
+            n_inside += 1
+        else:
+            assert np.max(np.abs(point.state - reference.state)) <= 1e-14 * (1.0 + norm)
+            assert point.speed == reference.speed
+    assert n_inside >= 150
+    assert n_raised >= 10 or eta < 0.2  # no point raises at the two smaller eta
+
+
+def test_hugoniot_family2_past_the_singular_locus():
+    # at eta = 0 the closed form has no value past |2 vb + s| = 4
+    with pytest.raises(SingularCurveError):
+        wc.hugoniot(2, [0.1, -0.5, 0.1], -3.5, P0)
+    # for eta > 0 the Newton starts from the base there, and may converge ...
+    params = ModelParams(0.05)
+    base = np.array([0.2, 0.8, -0.1])
+    point = wc.hugoniot(2, base, 2.6, params)
+    assert point.speed == 4.2
+    assert point.residual <= wc.NEWTON_TOL * (1.0 + np.linalg.norm(fx.flux(base, params)))
+    assert point.state[1] == base[1] + 2.6
+    # ... or fail, with the reached state and its residual
+    with pytest.raises(ConvergenceError, match="2-Hugoniot Newton residual") as err:
+        wc.hugoniot(2, [0.1, -0.5, 0.1], -3.5, params)
+    assert err.value.iterate.shape == (3,) and err.value.iterate[1] == -4.0
+    assert err.value.residual > wc.NEWTON_TOL
+
+
+def test_hugoniot_family2_singular_newton_block_raises_convergence_error(monkeypatch):
+    base, s = np.array([0.2, 0.1, -0.3]), -0.15
+    gamma = 2.0 * base[1] + s
+    # the 2x2 block of jacobian - gamma I is zero, so no Newton step exists
+    monkeypatch.setattr(wc, "jacobian", lambda U, p: gamma * np.eye(3))
+    with pytest.raises(ConvergenceError, match="singular Jacobian") as err:
+        wc.hugoniot(2, base, s, ModelParams(0.05))
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+    assert err.value.iterate[1] == base[1] + s
+    assert err.value.residual > 0.0
 
 
 def test_hugoniot_newton_seed_computes_no_rh_residual(monkeypatch):

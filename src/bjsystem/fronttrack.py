@@ -30,25 +30,29 @@ birth_t, the intercept birth_x - speed * birth_t, |right|
 once: a row's left state is the previous row's right state, or the boundary
 state for the first row.  The column constants below and `_row`, the only
 code that writes a row, are the only code that knows this layout.
-`next_collision` reads the block instead of gathering from every front at
-every event.  Next to it the state keeps running totals of the block: the
-total variation, the two sums over neighbour pairs whose combination P + Q t
-is the hull integral (see `observables`) and the max |right|.  `_splice` is
-the one place that changes the front list: `init_from_piecewise` and
-`resolve_collision` replace fronts, rows and the totals' terms through it,
-with rows only for the new fronts (made by the caller: two by `_cross`, or
-`_rows_for` of the new fronts) and terms only for the rows next to the
-splice, and `observables` reads the totals in O(1).  So an event costs O(k) Python work
-for k fronts in and out, observables included.  What still grows with the
-front count is numpy work: `next_collision`'s pass over the block, a copy
-of the block when the front count changes, and a pass over the norm column
-when the front holding the max leaves.  A hand-built state, a new list
-assigned to `st.fronts` or a change of its length makes the next reader
-rebuild the block and its totals.  A front edited in place elsewhere, or one
-put in the list in place of another, is picked up only after `st.fronts` is
-assigned a new list.  The first front's left state is the boundary state
-array, so editing that array in place is such an edit for the first jump;
-`observables` reads the boundary state itself afresh at every call.
+Next to the block the state keeps running totals of it: the total
+variation, the two sums over neighbour pairs whose combination P + Q t is
+the hull integral (see `observables`) and the max |right|; and `_meet`, the
+(n - 1,) column of the neighbour pairs' meeting times, which
+`next_collision` reads instead of gathering from every front at every
+event.  `_splice` is the one place that changes the front list:
+`init_from_piecewise` and `resolve_collision` replace fronts, rows, the
+totals' terms and meeting times through it, with rows only for the new
+fronts (made by the caller: two by `_cross`, or `_rows_for` of the new
+fronts) and terms and meeting times only for the rows next to the splice,
+and `observables` reads the totals in O(1).  So an event costs O(k) Python
+work for k fronts in and out, observables included.  What still grows with
+the front count is numpy work: `next_collision`'s one `min` and one
+`flatnonzero` over `_meet`, a copy of the block and the column when the
+front count changes, and a pass over the norm column when the front
+holding the max leaves.  A hand-built state, a new list assigned to
+`st.fronts` or a change of its length makes the next reader rebuild the
+block, its totals and its meeting times.  A front edited in place
+elsewhere, or one put in the list in place of another, is picked up only
+after `st.fronts` is assigned a new list.  The first front's left state is
+the boundary state array, so editing that array in place is such an edit
+for the first jump; `observables` reads the boundary state itself afresh at
+every call.
 
 A standalone scalar tracker for the decoupled v-component (flux v^2) serves
 as an independent oracle: 2-shock speeds are v_left + v_right for every eta,
@@ -144,6 +148,9 @@ class TrackerState:
     # the total variation, P and Q (3 Python floats each) and the max |right|
     _totals: list | None = field(default=None, repr=False, compare=False)
     _max_norm: float = field(default=-np.inf, repr=False, compare=False)
+    # the (n - 1,) meeting times of the neighbour pairs of `_rows` (see `_meet_times`),
+    # kept by `_splice`
+    _meet: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def new_uid(self) -> int:
         uid = self._next_uid
@@ -298,29 +305,29 @@ class CollisionCandidate:
 def next_collision(st: TrackerState) -> CollisionCandidate | None:
     """Earliest upcoming collision, with hits within TOL_EVENT at one point merged.
 
-    The meeting times of all neighbour pairs come from one array pass over
-    the kept columns of the speeds and the intercepts
-    b = birth_x - speed * birth_t: a pair meets at
-    (b_right - b_left) / (speed_left - speed_right) if the left front is
-    faster by more than SPEED_TIE_TOL, a meeting more than TOL_EVENT in the
-    past is dropped, and one less than TOL_EVENT in the past happens now.
-    Ties at distinct positions resolve in list order, which is the spatial
-    order: the first run of adjacent colliding pairs wins.  A candidate of
-    just a 3-front and a 1-front is a crossing that `resolve_collision`
-    passes through without a Riemann solve; a third front meeting at the
-    same point makes it a general collision.
+    The meeting times of all neighbour pairs are the kept column `_meet`
+    (see `_meet_times`): a pair meets at
+    (b_right - b_left) / (speed_left - speed_right), with
+    b = birth_x - speed * birth_t, if the left front is faster by more than
+    SPEED_TIE_TOL.  One `min` over the column gives the earliest; only if it
+    lies more than TOL_EVENT in the past are such past meetings dropped, on a
+    copy, and the min taken again.  A meeting less than TOL_EVENT in the past
+    happens now.  Ties at distinct positions resolve in list order, which is
+    the spatial order: the first run of adjacent colliding pairs wins.  A
+    candidate of just a 3-front and a 1-front is a crossing that
+    `resolve_collision` passes through without a Riemann solve; a third front
+    meeting at the same point makes it a general collision.
     """
     fronts = st.fronts
     if len(fronts) < 2:
         return None
-    rows = _front_rows(st)
-    speed, intercept = rows[:, _SPEED], rows[:, _INTERCEPT]
-    dv = speed[:-1] - speed[1:]
-    times = np.divide(
-        intercept[1:] - intercept[:-1], dv, out=np.full(len(dv), np.inf), where=dv > SPEED_TIE_TOL
-    )
-    times[times < st.time - TOL_EVENT] = np.inf
+    _front_rows(st)
+    times = st._meet
     t_min = float(times.min())
+    past = st.time - TOL_EVENT
+    if t_min < past:
+        times = np.where(times < past, np.inf, times)
+        t_min = float(times.min())
     if t_min == np.inf:
         return None
     t_min = max(t_min, st.time)
@@ -450,18 +457,19 @@ def _norm(U: np.ndarray) -> float:
 
 
 def _rebuild_rows(st: TrackerState) -> None:
-    """Compute the row block of st.fronts and its running totals afresh."""
+    """Compute the row block of st.fronts, its running totals and meeting times afresh."""
     rows = _rows_for(st.fronts)
     st._rows, st._rows_of = np.reshape(rows, (-1, _N_COLS)), st.fronts
     st._totals, st._max_norm = _range_terms(rows, 0, len(rows))
+    st._meet = np.array(_meet_times(rows), dtype=float)
 
 
 def _front_rows(st: TrackerState) -> np.ndarray:
     """The kept (n, 11) row block of st.fronts, in the columns of `_rows_for`.
 
-    The block and its totals are rebuilt if the block was built for another
-    list than st.fronts or for another length, as after a hand-built state or
-    an assignment to st.fronts.
+    The block, its totals and its meeting times are rebuilt if the block was
+    built for another list than st.fronts or for another length, as after a
+    hand-built state or an assignment to st.fronts.
     """
     if st._rows_of is not st.fronts or len(st._rows) != len(st.fronts):
         _rebuild_rows(st)
@@ -500,16 +508,34 @@ def _range_terms(block: list, start: int, stop: int) -> tuple:
     return [tv_u, tv_v, tv_w, p_u, p_v, p_w, q_u, q_v, q_w], max_norm
 
 
+def _meet_times(block: list) -> list:
+    """The meeting time of each adjacent pair of rows in `block`, as Python floats.
+
+    A pair meets at (b' - b) / (lambda - lambda') when lambda - lambda' is
+    above SPEED_TIE_TOL, and never (inf) otherwise, where b is the intercept
+    column, lambda the speed column and the primes mark the right row: the
+    operations, in their order, of the numpy expression over the columns,
+    so the bits are the same.
+    """
+    times = []
+    for r, r_next in zip(block, block[1:]):
+        dv = r[_SPEED] - r_next[_SPEED]
+        times.append((r_next[_INTERCEPT] - r[_INTERCEPT]) / dv if dv > SPEED_TIE_TOL else np.inf)
+    return times
+
+
 def _splice(st: TrackerState, start: int, stop: int, new_fronts: list, new_rows: list) -> None:
-    """Replace st.fronts[start:stop] with new_fronts, their rows and their totals.
+    """Replace st.fronts[start:stop] with new_fronts, their rows, totals and meeting times.
 
     The only code that changes the front list.  new_rows are the new
     fronts' rows from `_row`, as Python float lists; the block that the
-    totals need, `rows[max(start - 1, 0) : stop + 1]`, is read here with one
-    `tolist`.  When as many fronts leave as arrive, as in a 1-3 crossing,
-    the new rows are written into the block in place; otherwise the block
-    is concatenated once.  It stays C-contiguous and bit-equal to the block
-    `_rebuild_rows` would compute.
+    totals and the meeting times need, `rows[max(start - 1, 0) : stop + 1]`,
+    is read here with one `tolist`.  When as many fronts leave as arrive, as
+    in a 1-3 crossing, the new rows and the meeting times of the pairs in the
+    block (`_meet_times`) are written into the block and the `_meet` column
+    in place; otherwise each is concatenated once.  Both stay C-contiguous
+    and bit-equal to what `_rebuild_rows` would compute: no pair outside the
+    block has a row that changed.
 
     The running totals lose the `_range_terms` of the old range and gain
     those of the new one, both taken from that one list, O(k) Python float
@@ -521,14 +547,18 @@ def _splice(st: TrackerState, start: int, stop: int, new_fronts: list, new_rows:
     lo = max(start - 1, 0)
     block = rows[lo : stop + 1].tolist()
     whole = start == 0 and stop == len(rows)
+    old_pairs = max(len(block) - 1, 0)
     old_terms, old_max = _range_terms(block, start - lo, stop - lo)
     block[start - lo : stop - lo] = new_rows
     terms, max_norm = _range_terms(block, start - lo, start - lo + len(new_rows))
+    meet = _meet_times(block)
     if stop - start != len(new_rows):
         st._rows = rows = np.concatenate((rows[:start], np.reshape(new_rows, (-1, _N_COLS)),
                                           rows[stop:]))
+        st._meet = np.concatenate((st._meet[:lo], meet, st._meet[lo + old_pairs :]))
     elif new_rows:
         rows[start:stop] = new_rows
+        st._meet[lo : lo + old_pairs] = meet
     st.fronts[start:stop] = new_fronts
     if not whole:
         terms = [total - old + term for total, old, term in zip(st._totals, old_terms, terms)]
@@ -585,32 +615,34 @@ def observables(st: TrackerState) -> ObservableRecord:
     the last bits; the max is exact.
     """
     rows = _front_rows(st)
-    U_bg, eta = st.left_boundary_state.tolist(), st.params.model.eta
-    flux_bg, bg_norm = _flux_terms(*U_bg, eta)
-    t = st.time
-    tv, p, q = st._totals[:3], st._totals[3:6], st._totals[6:]
+    eta, t = st.params.model.eta, st.time
+    ub, vb, wb = st.left_boundary_state.tolist()
+    (fb_u, fb_v, fb_w), bg_norm = _flux_terms(ub, vb, wb, eta)
+    tv_u, tv_v, tv_w, p_u, p_v, p_w, q_u, q_v, q_w = st._totals
     if st.fronts:
         first, last = rows[0].tolist(), rows[-1].tolist()
         x_first = _position(first[_BIRTH_X], first[_SPEED], first[_BIRTH_T], t)
         x_last = _position(last[_BIRTH_X], last[_SPEED], last[_BIRTH_T], t)
-        U_far = last[_RIGHT]
-        integrals = [pk + qk * t - ub * (x_last - x_first) for pk, qk, ub in zip(p, q, U_bg)]
-        flux_far = _flux_terms(*U_far, eta)[0]
-        balance = [
-            integral - x_last * (uf - ub) + t * (ff - fb)
-            for integral, uf, ub, ff, fb in zip(integrals, U_far, U_bg, flux_far, flux_bg)
-        ]
+        width = x_last - x_first
+        int_u = p_u + q_u * t - ub * width
+        int_v = p_v + q_v * t - vb * width
+        int_w = p_w + q_w * t - wb * width
+        uf, vf, wf = last[_RIGHT]
+        ff_u, ff_v, ff_w = _flux_terms(uf, vf, wf, eta)[0]
+        bal_u = int_u - x_last * (uf - ub) + t * (ff_u - fb_u)
+        bal_v = int_v - x_last * (vf - vb) + t * (ff_v - fb_v)
+        bal_w = int_w - x_last * (wf - wb) + t * (ff_w - fb_w)
     else:
-        integrals = balance = [0.0, 0.0, 0.0]
+        int_u = int_v = int_w = bal_u = bal_v = bal_w = 0.0
     f64 = np.float64
     return ObservableRecord(
-        time=st.time,
+        time=t,
         n_events=len(st.event_log),
         n_fronts=len(st.fronts),
-        total_variation=(f64(tv[0]), f64(tv[1]), f64(tv[2])),
+        total_variation=(f64(tv_u), f64(tv_v), f64(tv_w)),
         max_state_norm=max(bg_norm, st._max_norm),
-        integrals=(f64(integrals[0]), f64(integrals[1]), f64(integrals[2])),
-        balance=(f64(balance[0]), f64(balance[1]), f64(balance[2])),
+        integrals=(f64(int_u), f64(int_v), f64(int_w)),
+        balance=(f64(bal_u), f64(bal_v), f64(bal_w)),
     )
 
 

@@ -19,9 +19,13 @@ library's full-step rule replaced.
 The flux at eta = 0 is linear in (u, w) with a 2x2 matrix of v, and the 1-2
 outgoing-strength system has a matrix whose inverse the library writes in
 closed form.
+Results are compared bit for bit by `assert_bit_equal`, which walks
+dataclasses, tuples and lists down to arrays and floats.
 """
 
+import dataclasses
 import heapq
+import struct
 
 import numpy as np
 
@@ -32,6 +36,32 @@ import bjsystem.wavecurves as wc
 from bjsystem.errors import ConvergenceError, SingularCurveError
 
 _TWO_PI_THIRDS = 2.0 * np.pi / 3.0
+
+
+def assert_bit_equal(a, b, path="value"):
+    """Assert that a and b are equal bit for bit, naming the first part that differs.
+
+    Both must have the same type.  Dataclass fields, tuples and lists are
+    compared item by item, arrays by dtype, shape and bytes, and floats
+    (numpy's float64 included) by their 64 bits, so -0.0 differs from 0.0
+    and a nan equals the same nan.  Anything else is compared with ==.
+    """
+    assert type(a) is type(b), f"{path}: {type(a).__name__} != {type(b).__name__}"
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_bit_equal(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), f"{path}: length {len(a)} != {len(b)}"
+        for k, (x, y) in enumerate(zip(a, b)):
+            assert_bit_equal(x, y, f"{path}[{k}]")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), (
+            f"{path}: {a.dtype}{a.shape} != {b.dtype}{b.shape}")
+        assert a.tobytes() == b.tobytes(), f"{path}: {a!r} != {b!r}"
+    elif isinstance(a, float):
+        assert struct.pack("<d", a) == struct.pack("<d", b), f"{path}: {a!r} != {b!r}"
+    else:
+        assert a == b, f"{path}: {a!r} != {b!r}"
 
 
 def ball_sample(rng, n, radius):

@@ -318,13 +318,18 @@ def test_collision_ties_resolve_left_to_right():
         ([(0, 0.0, 1.0), (1, 1.0, 1.0 - 5e-15)], None),
         # the second pair meets 2e-13 after the first, at the same point: merged
         ([(0, -1.0, 1.0), (1, 1.0, 0.0), (2, 3.0 + 2e-13, -1.0)], (2.0, (0, 1, 2))),
+        # the second pair met 2e-12 before now and is dropped, so the first pair's
+        # meeting at t = 2 is the earliest
+        ([(0, -3.0, 1.0), (1, 1.0, -1.0), (2, 1.0 + 2.0 * (1.0 - 2e-12), -3.0)], (2.0, (0, 1))),
     ],
 )
 def test_collision_time_tolerances(fronts, expected):
     st = kinematic_state([make_plain_front(uid, x, speed) for uid, x, speed in fronts])
     st.time = 1.0
     cand = ft.next_collision(st)
-    assert repr(cand) == repr(oracles.next_collision_loop(st))
+    oracles.assert_bit_equal(cand, oracles.next_collision_loop(st))
+    # a past meeting is dropped on a copy: the kept column still holds it
+    _assert_rows_fresh(st)
     if expected is None:
         assert cand is None
     else:
@@ -344,6 +349,8 @@ def test_resolve_22_collision_gives_three_shocks():
     assert event.classification == "22"
     assert [f.family for f in st.fronts] == [1, 2, 3]
     assert all(f.kind == "shock" for f in st.fronts)
+    # two fronts out and three in: the meeting times are concatenated, not written in place
+    _assert_rows_fresh(st)
 
 
 def test_resolve_cancellation_empties_fan():
@@ -764,10 +771,14 @@ def test_observables_equal_the_loop_at_a_single_jump(x):
 
 
 def _assert_rows_fresh(st, norms=None):
-    """The kept row block is C-contiguous and bit-equal to rows made afresh from each front.
+    """The kept rows and meeting times are C-contiguous and bit-equal to fresh ones.
 
     A front's row is right, birth_x, speed, birth_t, the intercept
-    birth_x - speed * birth_t, |right| and |right - left|.  `norms` may carry
+    birth_x - speed * birth_t, |right| and |right - left|, made afresh from
+    each front.  The meeting time of neighbours i and i + 1 is
+    (b[i+1] - b[i]) / (lambda[i] - lambda[i+1]) where the speed difference is
+    above SPEED_TIE_TOL, else inf, over the fresh intercept column b and
+    speed column lambda in one numpy expression.  `norms` may carry
     |f.right| by front id from earlier calls on the same run: a front never
     changes once spliced in, and st.dead_fronts keeps every front of the run
     alive, so no id is reused.
@@ -784,6 +795,12 @@ def _assert_rows_fresh(st, norms=None):
     fresh = np.column_stack((right, line, np.abs(right - left)))
     assert st._rows.flags.c_contiguous and st._rows.shape == fresh.shape
     assert st._rows.tobytes() == fresh.tobytes()
+    speed, intercept = line[:, 1], line[:, 3]
+    dv = speed[:-1] - speed[1:]
+    meet = np.divide(intercept[1:] - intercept[:-1], dv, out=np.full(len(dv), np.inf),
+                     where=dv > ft.SPEED_TIE_TOL)
+    assert st._meet.flags.c_contiguous and st._meet.dtype == meet.dtype
+    assert st._meet.shape == meet.shape and st._meet.tobytes() == meet.tobytes()
 
 
 def _count_rebuilds(monkeypatch):
@@ -808,14 +825,20 @@ def test_state_rows_equal_fresh_gathers_after_every_event(monkeypatch, run, n_ev
     norms = {}
     _assert_rows_fresh(st, norms)
     rebuilds = _count_rebuilds(monkeypatch)
+    # events that keep the front count (rows and meeting times written in place)
+    # and events that change it (both concatenated)
+    count_kept = set()
     for _ in range(n_events):
+        n_before = len(st.fronts)
         ft.resolve_collision(st, ft.next_collision(st))
+        count_kept.add(len(st.fronts) == n_before)
         _assert_rows_fresh(st, norms)
         # the list order is the spatial order, so `next_collision`'s first run is the leftmost
         x = st.positions()
         assert all(a <= b for a, b in zip(x, x[1:]))
     ft.observables(st)
     assert rebuilds == []
+    assert count_kept == {True, False}
 
 
 @pytest.mark.parametrize("run, n_events", [("shock", 3000), ("rarefaction", 1500)])
@@ -1017,7 +1040,55 @@ def test_crossing_at_an_end_of_the_list_keeps_rows_and_totals(layout, first):
     tol = OBSERVABLES_TOL * (1.0 + np.abs(totals))
     assert np.all(np.abs(np.subtract(st._totals, totals)) <= tol)
     assert st._max_norm == max_norm
+    _assert_rows_fresh(st)
     _assert_observables_equal_loop(st)
+
+
+@pytest.mark.parametrize("n_in", [0, 1, 2, 3])
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_a_splice_at_an_end_of_the_list_keeps_the_meeting_times(end, n_in):
+    # two fronts out and n_in in: written in place for two, concatenated otherwise;
+    # the new fronts run 0.01 slower than the fronts they copy, so their pairs move
+    jumps, U0, params = _shock_run()
+    st = ft.init_from_piecewise(jumps, U0, params)
+    for _ in range(20):
+        ft.resolve_collision(st, ft.next_collision(st))
+    n = len(st.fronts)
+    start = 0 if end == "first" else n - 2
+    outgoing = st.fronts[start : start + 2]
+    new = [dataclasses.replace(f, uid=st.new_uid(), birth_x=f.position(st.time), birth_t=st.time,
+                               speed=f.speed - 0.01)
+           for f in (outgoing + outgoing[-1:])[:n_in]]
+    ft._splice(st, start, start + 2, new, ft._rows_for(new))
+    assert len(st.fronts) == n - 2 + n_in
+    _assert_rows_fresh(st)
+    oracles.assert_bit_equal(ft.next_collision(st), oracles.next_collision_loop(st))
+
+
+def test_a_new_front_list_rebuilds_the_meeting_times_once(monkeypatch):
+    jumps, U0, params = _shock_run()
+    st = ft.init_from_piecewise(jumps, U0, params)
+    for _ in range(50):
+        ft.resolve_collision(st, ft.next_collision(st))
+    ft.next_collision(st)
+    last_meeting = st._meet[-1]
+    rebuilds = _count_rebuilds(monkeypatch)
+    # the same fronts in a new list, the last one slowed from now on: its pair
+    # with the front before it now meets at another time
+    last = st.fronts[-1]
+    slowed = dataclasses.replace(last, birth_x=last.position(st.time), birth_t=st.time,
+                                 speed=last.speed - 0.5)
+    st.fronts = st.fronts[:-1] + [slowed]
+    cand = ft.next_collision(st)
+    ft.observables(st)
+    assert rebuilds == [len(st.fronts)]
+    assert st._meet[-1] != last_meeting
+    _assert_rows_fresh(st)
+    oracles.assert_bit_equal(cand, oracles.next_collision_loop(st))
+    for _ in range(20):
+        ft.resolve_collision(st, ft.next_collision(st))
+        _assert_rows_fresh(st)
+    assert len(rebuilds) == 1
 
 
 def test_crossings_make_no_riemann_solve_and_no_row_gather(monkeypatch):

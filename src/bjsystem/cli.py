@@ -118,9 +118,23 @@ def _setting(args, scenario, section, key, spec):
 
 
 def _coerce(value, kind):
-    """`value` (a number or a flag's string) as a `kind`, refusing a bool or a truncation."""
+    """`value` (a number or a flag's string) as a `kind`, refusing a bool or a truncation.
+
+    A string read as an integer is read by `int` if it can be, so a large
+    integer stays exact, and else as a float that must be integral, as a
+    file's number.
+    """
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
+    if kind is int and isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+        try:
+            value = float(value)
+        except ValueError:
+            raise ValueError(f"expected an integer, got {value!r}") from None
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return kind(value)
@@ -139,11 +153,13 @@ def _check_out_paths(*paths):
     """Raise OSError unless every output path names a file in an existing directory.
 
     Called before any work, so that a bad path exits 1 with nothing printed
-    or written.  None and "-" stand for stdout.
+    or written.  None and "-" stand for stdout; an empty path is refused.
     """
     for path in paths:
         if path in (None, "-"):
             continue
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, "empty output path", path)
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if not os.path.isdir(os.path.dirname(path) or "."):
@@ -467,9 +483,12 @@ def cmd_fronttrack(args, scenario):
 
 
 def _out_files(prefix):
-    """The events, trajectories and observables files of `prefix`; all None (stdout) without."""
+    """The events, trajectories and observables files of `prefix`; all None (stdout) without.
+
+    An empty prefix gives empty paths, which `_check_out_paths` refuses.
+    """
     names = ("events.csv", "trajectories.tsv", "observables.csv")
-    return [f"{prefix}_{name}" if prefix else None for name in names]
+    return [prefix and f"{prefix}_{name}" for name in names]
 
 
 def _write_tracker_outputs(args, st, series):

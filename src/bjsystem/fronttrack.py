@@ -22,18 +22,18 @@ crossing keeps each front's family, kind, strength and speed and computes
 only the new middle state U_L + (U_R - U_M), in Python floats, and the two
 outgoing rows, without a Riemann solve or a gather of rows from the fronts.
 
-Besides the list of live fronts, a `TrackerState` keeps one C-contiguous
-(n, 11) float block of rows for them, `_rows`, in the order of the list.
-The columns of a front's row are its right state (0:3), birth_x, speed,
-birth_t, the intercept birth_x - speed * birth_t, |right|
-(`np.linalg.norm`) and |right - left| (8:11).  The block holds each state
+Besides the list of live fronts, a `TrackerState` keeps a list of rows for
+them, `_rows`, in the order of the list: one list of 11 Python floats per
+front.  The entries of a front's row are its right state (0:3), birth_x,
+speed, birth_t, the intercept birth_x - speed * birth_t, |right|
+(`np.linalg.norm`) and |right - left| (8:11).  The rows hold each state
 once: a row's left state is the previous row's right state, or the boundary
 state for the first row.  The column constants below and `_row`, the only
 code that writes a row, are the only code that knows this layout.
-Next to the block the state keeps running totals of it: the total
+Next to the rows the state keeps running totals of them: the total
 variation, the two sums over neighbour pairs whose combination P + Q t is
 the hull integral (see `observables`) and the max |right|; and `_meet`, the
-(n - 1,) column of the neighbour pairs' meeting times, which
+n - 1 meeting times of the neighbour pairs as Python floats, which
 `next_collision` reads instead of gathering from every front at every
 event.  `_splice` is the one place that changes the front list:
 `init_from_piecewise` and `resolve_collision` replace fronts, rows, the
@@ -42,15 +42,15 @@ fronts (made by the caller: two by `_cross`, or `_rows_for` of the new
 fronts) and terms and meeting times only for the rows next to the splice,
 and `observables` reads the totals in O(1).  So an event costs O(k) Python
 work for k fronts in and out, observables included.  What still grows with
-the front count is numpy work: `next_collision`'s one `min` and one
-`flatnonzero` over `_meet`, a copy of the block and the column when the
-front count changes, and a pass over the norm column when the front
-holding the max leaves.  A hand-built state, a new list assigned to
-`st.fronts` or a change of its length makes the next reader rebuild the
-block, its totals and its meeting times.  A front edited in place
-elsewhere, or one put in the list in place of another, is picked up only
-after `st.fronts` is assigned a new list.  The first front's left state is
-the boundary state array, so editing that array in place is such an edit
+the front count is `next_collision`'s `min` over `_meet` and its scan to the
+first near pair, the list slice assignments that move the rows and meeting
+times after the splice when the front count changes, and a pass over the
+norms when the front holding the max leaves.  A hand-built state, a new list
+assigned to `st.fronts` or a change of its length makes the next reader
+rebuild the rows, their totals and their meeting times.  A front edited in
+place elsewhere, or one put in the list in place of another, is picked up
+only after `st.fronts` is assigned a new list.  The first front's left state
+is the boundary state array, so editing that array in place is such an edit
 for the first jump; `observables` reads the boundary state itself afresh at
 every call.
 
@@ -141,16 +141,16 @@ class TrackerState:
     dead_fronts: list = field(default_factory=list)
     truncated: bool = False
     _next_uid: int = 0
-    # the (n, 11) row block of `_rows_for` for the fronts of `_rows_of`, kept by `_splice`
-    _rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # the rows of `_rows_for` for the fronts of `_rows_of`, kept by `_splice`
+    _rows: list | None = field(default=None, repr=False, compare=False)
     _rows_of: list | None = field(default=None, repr=False, compare=False)
-    # running totals of the `_rows` block, kept by `_splice` (see `_range_terms`):
+    # running totals of the `_rows`, kept by `_splice` (see `_range_terms`):
     # the total variation, P and Q (3 Python floats each) and the max |right|
     _totals: list | None = field(default=None, repr=False, compare=False)
     _max_norm: float = field(default=-np.inf, repr=False, compare=False)
-    # the (n - 1,) meeting times of the neighbour pairs of `_rows` (see `_meet_times`),
+    # the n - 1 meeting times of the neighbour pairs of `_rows` (see `_meet_times`),
     # kept by `_splice`
-    _meet: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _meet: list | None = field(default=None, repr=False, compare=False)
 
     def new_uid(self) -> int:
         uid = self._next_uid
@@ -305,15 +305,16 @@ class CollisionCandidate:
 def next_collision(st: TrackerState) -> CollisionCandidate | None:
     """Earliest upcoming collision, with hits within TOL_EVENT at one point merged.
 
-    The meeting times of all neighbour pairs are the kept column `_meet`
+    The meeting times of all neighbour pairs are the kept list `_meet`
     (see `_meet_times`): a pair meets at
     (b_right - b_left) / (speed_left - speed_right), with
     b = birth_x - speed * birth_t, if the left front is faster by more than
-    SPEED_TIE_TOL.  One `min` over the column gives the earliest; only if it
+    SPEED_TIE_TOL.  One `min` over the list gives the earliest; only if it
     lies more than TOL_EVENT in the past are such past meetings dropped, on a
     copy, and the min taken again.  A meeting less than TOL_EVENT in the past
     happens now.  Ties at distinct positions resolve in list order, which is
-    the spatial order: the first run of adjacent colliding pairs wins.  A
+    the spatial order: the first run of adjacent colliding pairs, those
+    within TOL_EVENT of the earliest time, wins.  A
     candidate of just a 3-front and a 1-front is a crossing that
     `resolve_collision` passes through without a Riemann solve; a third front
     meeting at the same point makes it a general collision.
@@ -323,25 +324,23 @@ def next_collision(st: TrackerState) -> CollisionCandidate | None:
         return None
     _front_rows(st)
     times = st._meet
-    t_min = float(times.min())
+    t_min = min(times)
     past = st.time - TOL_EVENT
     if t_min < past:
-        times = np.where(times < past, np.inf, times)
-        t_min = float(times.min())
+        times = [np.inf if t < past else t for t in times]
+        t_min = min(times)
     if t_min == np.inf:
         return None
     t_min = max(t_min, st.time)
-    near = np.flatnonzero(times <= t_min + TOL_EVENT).tolist()
+    near = t_min + TOL_EVENT
     # the first run of adjacent pairs (i, i+1 colliding and i+1, i+2 colliding) is the leftmost
-    last = near[0]
-    for i in near[1:]:
-        if i != last + 1:
-            break
-        last = i
-    indices = tuple(range(near[0], last + 2))
+    first = last = next(i for i, t in enumerate(times) if t <= near)
+    while last + 1 < len(times) and times[last + 1] <= near:
+        last += 1
+    indices = tuple(range(first, last + 2))
     return CollisionCandidate(
         time=t_min,
-        position=fronts[near[0]].position(t_min),
+        position=fronts[first].position(t_min),
         front_ids=tuple(fronts[i].uid for i in indices),
         indices=indices,
     )
@@ -400,7 +399,7 @@ def _cross(st: TrackerState, i: int, f3: Front, f1: Front, x: float, t: float) -
     of their family (see the module docstring); the 1-front keeps U_L's
     array and the 3-front U_R's, and they share one new array for U_M'.
     Their rows come from `_row`: |U_M'| is `_norm` of the new array and the
-    3-front's |U_R| is the 1-front's norm column.  Returns
+    3-front's |U_R| is the 1-front's kept norm.  Returns
     ([1-front, 3-front], their rows) for `_splice`.
     """
     lu, lv, lw = left = f3.left.tolist()
@@ -412,7 +411,7 @@ def _cross(st: TrackerState, i: int, f3: Front, f1: Front, x: float, t: float) -
     f3_out = Front(st.new_uid(), f3.family, f3.kind, f3.strength, U_mid, f1.right, f3.speed, x, t)
     return [f1_out, f3_out], [
         _row(left, mid, x, f1.speed, t, _norm(U_mid)),
-        _row(mid, right, x, f3.speed, t, _front_rows(st).item(i + 1, _NORM)),
+        _row(mid, right, x, f3.speed, t, _front_rows(st)[i + 1][_NORM]),
     ]
 
 
@@ -422,7 +421,6 @@ _RIGHT = slice(0, 3)
 _RIGHT_U, _RIGHT_V, _RIGHT_W = range(3)
 _BIRTH_X, _SPEED, _BIRTH_T, _INTERCEPT, _NORM = range(3, 8)
 _JUMP_U, _JUMP_V, _JUMP_W = range(8, 11)
-_N_COLS = 11
 
 
 def _row(left, right, x: float, speed: float, t: float, norm: float) -> list:
@@ -457,17 +455,17 @@ def _norm(U: np.ndarray) -> float:
 
 
 def _rebuild_rows(st: TrackerState) -> None:
-    """Compute the row block of st.fronts, its running totals and meeting times afresh."""
+    """Compute the rows of st.fronts, their running totals and meeting times afresh."""
     rows = _rows_for(st.fronts)
-    st._rows, st._rows_of = np.reshape(rows, (-1, _N_COLS)), st.fronts
+    st._rows, st._rows_of = rows, st.fronts
     st._totals, st._max_norm = _range_terms(rows, 0, len(rows))
-    st._meet = np.array(_meet_times(rows), dtype=float)
+    st._meet = _meet_times(rows)
 
 
-def _front_rows(st: TrackerState) -> np.ndarray:
-    """The kept (n, 11) row block of st.fronts, in the columns of `_rows_for`.
+def _front_rows(st: TrackerState) -> list:
+    """The kept rows of st.fronts, in the columns of `_rows_for`.
 
-    The block, its totals and its meeting times are rebuilt if the block was
+    The rows, their totals and their meeting times are rebuilt if they were
     built for another list than st.fronts or for another length, as after a
     hand-built state or an assignment to st.fronts.
     """
@@ -528,42 +526,36 @@ def _splice(st: TrackerState, start: int, stop: int, new_fronts: list, new_rows:
     """Replace st.fronts[start:stop] with new_fronts, their rows, totals and meeting times.
 
     The only code that changes the front list.  new_rows are the new
-    fronts' rows from `_row`, as Python float lists; the block that the
-    totals and the meeting times need, `rows[max(start - 1, 0) : stop + 1]`,
-    is read here with one `tolist`.  When as many fronts leave as arrive, as
-    in a 1-3 crossing, the new rows and the meeting times of the pairs in the
-    block (`_meet_times`) are written into the block and the `_meet` column
-    in place; otherwise each is concatenated once.  Both stay C-contiguous
-    and bit-equal to what `_rebuild_rows` would compute: no pair outside the
-    block has a row that changed.
+    fronts' rows from `_row`, as Python float lists.  The totals and the
+    meeting times need only the block `rows[max(start - 1, 0) : stop + 1]`,
+    the range with one neighbour row on each side.  One list slice
+    assignment each puts the new fronts, their rows and the meeting times of
+    the block's pairs (`_meet_times`) in place of the old ones, whether or
+    not the front count changes.  The rows and meeting times stay bit-equal
+    to what `_rebuild_rows` would compute: no pair outside the block has a
+    row that changed.
 
     The running totals lose the `_range_terms` of the old range and gain
-    those of the new one, both taken from that one list, O(k) Python float
-    work; a splice of the whole block keeps only the new terms, so an
-    emptied list has zero totals.  The max |right| is taken again from the
-    norm column only when a removed row held it.
+    those of the new one, both taken from that one block, O(k) Python float
+    work; a splice of all the rows keeps only the new terms, so an emptied
+    list has zero totals.  The max |right| is taken again over the rows'
+    norms only when a removed row held it.
     """
     rows = _front_rows(st)
     lo = max(start - 1, 0)
-    block = rows[lo : stop + 1].tolist()
+    block = rows[lo : stop + 1]
     whole = start == 0 and stop == len(rows)
     old_pairs = max(len(block) - 1, 0)
     old_terms, old_max = _range_terms(block, start - lo, stop - lo)
     block[start - lo : stop - lo] = new_rows
     terms, max_norm = _range_terms(block, start - lo, start - lo + len(new_rows))
-    meet = _meet_times(block)
-    if stop - start != len(new_rows):
-        st._rows = rows = np.concatenate((rows[:start], np.reshape(new_rows, (-1, _N_COLS)),
-                                          rows[stop:]))
-        st._meet = np.concatenate((st._meet[:lo], meet, st._meet[lo + old_pairs :]))
-    elif new_rows:
-        rows[start:stop] = new_rows
-        st._meet[lo : lo + old_pairs] = meet
+    rows[start:stop] = new_rows
+    st._meet[lo : lo + old_pairs] = _meet_times(block)
     st.fronts[start:stop] = new_fronts
     if not whole:
         terms = [total - old + term for total, old, term in zip(st._totals, old_terms, terms)]
         if old_max >= st._max_norm:
-            max_norm = float(rows[:, _NORM].max())
+            max_norm = max(r[_NORM] for r in rows)
         else:
             max_norm = max(st._max_norm, max_norm)
     st._totals, st._max_norm = terms, max_norm
@@ -598,7 +590,7 @@ def observables(st: TrackerState) -> ObservableRecord:
     conservation certification checks.)
 
     Nothing is summed over the fronts here: `_splice` keeps running totals
-    of the row block (see `_range_terms`), so a call costs O(1).  Between
+    of the rows (see `_range_terms`), so a call costs O(1).  Between
     events every front moves on its line x = b + lambda t, so the hull
     integral is affine in t,
 
@@ -620,7 +612,7 @@ def observables(st: TrackerState) -> ObservableRecord:
     (fb_u, fb_v, fb_w), bg_norm = _flux_terms(ub, vb, wb, eta)
     tv_u, tv_v, tv_w, p_u, p_v, p_w, q_u, q_v, q_w = st._totals
     if st.fronts:
-        first, last = rows[0].tolist(), rows[-1].tolist()
+        first, last = rows[0], rows[-1]
         x_first = _position(first[_BIRTH_X], first[_SPEED], first[_BIRTH_T], t)
         x_last = _position(last[_BIRTH_X], last[_SPEED], last[_BIRTH_T], t)
         width = x_last - x_first

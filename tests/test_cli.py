@@ -699,6 +699,28 @@ def test_fronttrack_bad_out_prefix_exits_1_before_the_run(tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["verify", "bounds12", "--samples", "300", "--out", ""], (cli.ia, "verify_bounds_12")),
+        (["riemann", "--ul", "0.1,0,0", "--ur", "0.2,0,0", "--out", ""], (cli, "solve_riemann")),
+        (["riemann", "--ul", "0.1,0,0", "--ur", "0.2,0,0", "--sample", "3", "--sample-out", ""],
+         (cli, "solve_riemann")),
+        (["fronttrack", "--scenario", "scenario.json", "--out", ""], (ft, "run")),
+    ],
+    ids=["verify", "riemann-out", "riemann-sample-out", "fronttrack"],
+)
+def test_empty_output_path_exits_1_before_any_work(tmp_path, capsys, monkeypatch, argv, work):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.json").write_text(json.dumps({"fronttrack": _TRACK}))
+    calls = []
+    monkeypatch.setattr(*work, lambda *args, **kwargs: calls.append(args))
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert _one_error_line(captured) and "empty output path" in captured.err
+    assert calls == [] and sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+@pytest.mark.parametrize(
     "suite", ["hyperbolicity", "gnl", "bounds12", "pattern22", "contraction"]
 )
 def test_verify_negative_seed_exits_1(capsys, suite):
@@ -730,6 +752,33 @@ def test_integral_float_setting_is_accepted(tmp_path, capsys):
     doc, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
     (record,) = doc["records"]
     assert (record["seed"], record["n_samples"]) == (2, 5)
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("20.0", ""),
+        ("2e1", ""),
+        ("1.5", "error: bad verify setting 'samples': expected an integer, got 1.5\n"),
+        ("abc", "error: bad verify setting 'samples': expected an integer, got 'abc'\n"),
+    ],
+    ids=["20.0", "2e1", "1.5", "abc"],
+)
+def test_integer_flag_converts_like_the_file_value(tmp_path, capsys, text, err):
+    # the file holds the number the text spells, or the string where it spells none
+    value = text if text != "abc" else json.dumps(text)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(f'{{"verify": {{"which": "hyperbolicity", "samples": {value}}}}}')
+    outcomes = []
+    for argv in (["--samples", text], ["--scenario", str(scenario)]):
+        code = run_cli("verify", "hyperbolicity", *argv, "--format", "json")
+        outcomes.append((code, capsys.readouterr()))
+    (code, captured), (file_code, file_captured) = outcomes
+    assert (code, captured.out, captured.err) == (file_code, file_captured.out, file_captured.err)
+    assert captured.err == err and code == (1 if err else 0)
+    if not err:
+        doc, _ = json.JSONDecoder().raw_decode(captured.out)
+        assert doc["records"][0]["n_samples"] == 20
 
 
 def test_riemann_sample_flag_zero_overrides_the_scenario(tmp_path, capsys):

@@ -349,7 +349,7 @@ def test_resolve_22_collision_gives_three_shocks():
     assert event.classification == "22"
     assert [f.family for f in st.fronts] == [1, 2, 3]
     assert all(f.kind == "shock" for f in st.fronts)
-    # two fronts out and three in: the meeting times are concatenated, not written in place
+    # two fronts out and three in: the meeting times after the splice move one place right
     _assert_rows_fresh(st)
 
 
@@ -771,7 +771,7 @@ def test_observables_equal_the_loop_at_a_single_jump(x):
 
 
 def _assert_rows_fresh(st, norms=None):
-    """The kept rows and meeting times are C-contiguous and bit-equal to fresh ones.
+    """The kept rows and meeting times are lists of Python floats, bit-equal to fresh ones.
 
     A front's row is right, birth_x, speed, birth_t, the intercept
     birth_x - speed * birth_t, |right| and |right - left|, made afresh from
@@ -793,14 +793,16 @@ def _assert_rows_fresh(st, norms=None):
     line = np.array([(f.birth_x, f.speed, f.birth_t, f.birth_x - f.speed * f.birth_t, norms[id(f)])
                      for f in st.fronts]).reshape(-1, 5)
     fresh = np.column_stack((right, line, np.abs(right - left)))
-    assert st._rows.flags.c_contiguous and st._rows.shape == fresh.shape
-    assert st._rows.tobytes() == fresh.tobytes()
+    assert all(type(x) is float for row in st._rows for x in row)
+    rows = np.array(st._rows).reshape(-1, fresh.shape[1])
+    assert rows.shape == fresh.shape and rows.tobytes() == fresh.tobytes()
     speed, intercept = line[:, 1], line[:, 3]
     dv = speed[:-1] - speed[1:]
     meet = np.divide(intercept[1:] - intercept[:-1], dv, out=np.full(len(dv), np.inf),
                      where=dv > ft.SPEED_TIE_TOL)
-    assert st._meet.flags.c_contiguous and st._meet.dtype == meet.dtype
-    assert st._meet.shape == meet.shape and st._meet.tobytes() == meet.tobytes()
+    assert all(type(t) is float for t in st._meet)
+    kept = np.array(st._meet)
+    assert kept.shape == meet.shape and kept.tobytes() == meet.tobytes()
 
 
 def _count_rebuilds(monkeypatch):
@@ -825,8 +827,7 @@ def test_state_rows_equal_fresh_gathers_after_every_event(monkeypatch, run, n_ev
     norms = {}
     _assert_rows_fresh(st, norms)
     rebuilds = _count_rebuilds(monkeypatch)
-    # events that keep the front count (rows and meeting times written in place)
-    # and events that change it (both concatenated)
+    # events that keep the front count and events that change it
     count_kept = set()
     for _ in range(n_events):
         n_before = len(st.fronts)
@@ -1035,7 +1036,7 @@ def test_crossing_at_an_end_of_the_list_keeps_rows_and_totals(layout, first):
     ft.resolve_collision(st, cand)
     assert [f.family for f in st.fronts[first : first + 2]] == [1, 3]
     fresh = np.array(ft._rows_for(st.fronts))
-    assert st._rows.flags.c_contiguous and st._rows.tobytes() == fresh.tobytes()
+    assert np.array(st._rows).tobytes() == fresh.tobytes()
     totals, max_norm = ft._range_terms(fresh.tolist(), 0, len(fresh))
     tol = OBSERVABLES_TOL * (1.0 + np.abs(totals))
     assert np.all(np.abs(np.subtract(st._totals, totals)) <= tol)
@@ -1047,8 +1048,8 @@ def test_crossing_at_an_end_of_the_list_keeps_rows_and_totals(layout, first):
 @pytest.mark.parametrize("n_in", [0, 1, 2, 3])
 @pytest.mark.parametrize("end", ["first", "last"])
 def test_a_splice_at_an_end_of_the_list_keeps_the_meeting_times(end, n_in):
-    # two fronts out and n_in in: written in place for two, concatenated otherwise;
-    # the new fronts run 0.01 slower than the fronts they copy, so their pairs move
+    # two fronts out and n_in in: the new fronts run 0.01 slower than the fronts
+    # they copy, so their pairs move
     jumps, U0, params = _shock_run()
     st = ft.init_from_piecewise(jumps, U0, params)
     for _ in range(20):

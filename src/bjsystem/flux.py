@@ -34,7 +34,11 @@ exactly the row a batch gives.
 
 The Jacobian entries are written once (`_jacobian_rows`) and r_2 is solved
 from them once (`_r2_uw_rows`).  `jacobian`, `r2_direction` and
-`eigensystem` use them.
+`eigensystem` use them.  The eigenvalues are written once too
+(`_eigen_rows`): `eigenvalues_batch` evaluates them on arrays, and
+`_ordered_eigen`, which `eigenvalues` and the Riemann solver's core use, on
+the Python floats of one state.  `_norm` is the one vector norm of the
+single-state paths, with the bits of `np.linalg.norm`.
 
 In the line coordinates (`_line_coords`, `_from_line_coords`)
 
@@ -88,8 +92,18 @@ def as_state(U) -> np.ndarray:
     return arr
 
 
+def _norm(U: np.ndarray) -> float:
+    """|U| of a float vector, with the bits of `np.linalg.norm(U)`.
+
+    `np.linalg.norm` of a vector is the square root of `U.dot(U)`; this takes
+    that root with `math.sqrt`, which rounds it the same, and skips the
+    argument checks, which cost as much as the rest.
+    """
+    return math.sqrt(U.dot(U))
+
+
 def in_unit_ball(U) -> bool:
-    return bool(np.linalg.norm(U) < 1.0)
+    return _norm(np.asarray(U, dtype=float)) < 1.0
 
 
 def check_in_ball(name: str, U: np.ndarray) -> None:
@@ -195,25 +209,38 @@ def eigenvalues_batch(U, params: ModelParams):
     return _eigenvalues(_states(U, "eigenvalues_batch"), params)
 
 
-def _eigenvalues(U: np.ndarray, params: ModelParams):
-    u, v, w = _entries(U, 1)
-    eta = params.eta
+def _eigen_rows(u, v, w, eta):
+    """lambda_1, lambda_2, lambda_3 at the components (u, v, w): Python floats or arrays."""
     shift = eta * (2.0 * w - 2.0 * u * v)
-    lam1, lam2, lam3 = -4.0 + shift + 4.0 * eta * u, 2.0 * v, 4.0 + shift
+    return -4.0 + shift + 4.0 * eta * u, 2.0 * v, 4.0 + shift
+
+
+def _eigenvalues(U: np.ndarray, params: ModelParams):
+    lam1, lam2, lam3 = _eigen_rows(*_entries(U, 1), params.eta)
     return _pack([lam1, lam2, lam3], U.shape[:-1]), (lam1 < lam2) & (lam2 < lam3)
+
+
+def _ordered_eigen(u: float, v: float, w: float, eta: float) -> tuple:
+    """The eigenvalues at the state (u, v, w) as Python floats; raises unless strictly ordered.
+
+    The errors are those of `eigenvalues` at np.array([u, v, w]): DomainError
+    for a non-finite state, else HyperbolicityError.
+    """
+    lam = _eigen_rows(u, v, w, eta)
+    if not (lam[0] < lam[1] < lam[2] and math.isfinite(u + v + w)):
+        U = as_state([u, v, w])
+        if not lam[0] < lam[1] < lam[2]:
+            raise HyperbolicityError(
+                f"eigenvalues {list(lam)} not strictly ordered by family at "
+                f"U={[u, v, w]}, eta={eta}",
+                state=U,
+            )
+    return lam
 
 
 def eigenvalues(U, params: ModelParams) -> np.ndarray:
     """Eigenvalues of DF at a single state in family order; raises unless strictly ordered."""
-    U = as_state(U)
-    lam, ok = _eigenvalues(U, params)
-    if not ok:
-        raise HyperbolicityError(
-            f"eigenvalues {lam.tolist()} not strictly ordered by family at "
-            f"U={U.tolist()}, eta={params.eta}",
-            state=U,
-        )
-    return lam
+    return np.array(_ordered_eigen(*as_state(U).tolist(), params.eta))
 
 
 @dataclass(frozen=True)

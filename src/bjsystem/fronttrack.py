@@ -10,9 +10,12 @@ fronts, a rarefaction's pieces or one shock or contact front, would take the
 fronts already live or emitted past that limit is refused before any of its
 fronts is built.
 
-A collision is resolved with the exact Riemann solver, except where a
-3-front meets a 1-front and nothing else: at a fixed v both outer wave
-curves are straight lines, r1 = (1, 0, v) moving only alpha and
+A collision is resolved with the exact Riemann solver.  The solver's core,
+`riemann._solve_fan`, returns the fan as Python floats, and `_solved_fronts`
+builds each front and its row from them, one array per new interior state,
+without the public `Wave` and `RiemannFan`.  The exception is a 3-front
+meeting a 1-front and nothing else: at a fixed v both outer wave curves are
+straight lines, r1 = (1, 0, v) moving only alpha and
 r3 = (1, 0, v - 2) moving only beta in the line coordinates of `flux`, so
 the two waves pass through each other with unchanged strengths.  Since
 lambda_1 depends only on alpha and lambda_3 only on beta, their speeds are
@@ -26,10 +29,11 @@ Besides the list of live fronts, a `TrackerState` keeps a list of rows for
 them, `_rows`, in the order of the list: one list of 11 Python floats per
 front.  The entries of a front's row are its right state (0:3), birth_x,
 speed, birth_t, the intercept birth_x - speed * birth_t, |right|
-(`np.linalg.norm`) and |right - left| (8:11).  The rows hold each state
-once: a row's left state is the previous row's right state, or the boundary
-state for the first row.  The column constants below and `_row`, the only
-code that writes a row, are the only code that knows this layout.
+(`flux._norm`, the bits of `np.linalg.norm`) and |right - left| (8:11).
+The rows hold each state once: a row's left state is the previous row's
+right state, or the boundary state for the first row.  The column constants
+below and `_row`, the only code that writes a row, are the only code that
+knows this layout.
 Next to the rows the state keeps running totals of them: the total
 variation, the two sums over neighbour pairs whose combination P + Q t is
 the hull integral (see `observables`) and the max |right|; and `_meet`, the
@@ -38,8 +42,8 @@ n - 1 meeting times of the neighbour pairs as Python floats, which
 event.  `_splice` is the one place that changes the front list:
 `init_from_piecewise` and `resolve_collision` replace fronts, rows, the
 totals' terms and meeting times through it, with rows only for the new
-fronts (made by the caller: two by `_cross`, or `_rows_for` of the new
-fronts) and terms and meeting times only for the rows next to the splice,
+fronts (made with them by the caller: `_cross` or `_solved_fronts`) and
+terms and meeting times only for the rows next to the splice,
 and `observables` reads the totals in O(1).  So an event costs O(k) Python
 work for k fronts in and out, observables included.  What still grows with
 the front count is `next_collision`'s `min` over `_meet` and its scan to the
@@ -67,9 +71,12 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, HyperbolicityError, TrackerEventError
 from . import wavecurves as wc
-from .flux import ModelParams, as_state, check_in_ball, eigenvalues
+from .flux import ModelParams, _norm, _ordered_eigen, as_state, check_in_ball
 from .flux import flux as flux_fn
-from .riemann import RAREFACTION, solve_riemann
+from .riemann import RAREFACTION, _solve_fan
+# bound only for the bench tracer, which wraps them here (ROADMAP item 17)
+from .flux import eigenvalues  # noqa: F401
+from .riemann import solve_riemann  # noqa: F401
 
 DELTA_DEFAULT = 1e-3
 MAX_EVENTS = 10000
@@ -193,48 +200,67 @@ def _piece_count(strength: float, delta: float, family: int, n_fronts: int,
     return max(1, int(n_pieces))
 
 
-def _emit_fronts(st: TrackerState, wave, x: float, t: float, n_fronts: int) -> list:
-    """Turn one fan wave into fronts born at (x, t), next to n_fronts other live fronts.
+def _emit_fronts(st: TrackerState, wave: tuple, left: tuple, right: tuple, x: float, t: float,
+                 n_fronts: int) -> tuple:
+    """The fronts of one solved wave born at (x, t), next to n_fronts other live fronts.
 
-    A shock or contact is one front at the wave's speed.  A rarefaction is
-    split into ceil(|s| / delta) pieces of equal strength (`_piece_count`),
-    each moving at the family's eigenvalue at its left edge.  Each piece is
-    integrated from the right state of the piece before it, and the last
-    piece ends on `wave.right` exactly.  The first piece reuses the speed
-    the wave carries, so eigenvalues are computed at the interior edges
-    only.
+    `wave` is (family, kind, strength, right state, speed) from
+    `riemann._solve_fan`; `left` and `right` are its end states as
+    (array, three floats, |state| by `_norm`).  A shock or contact is one
+    front at the wave's speed.  A rarefaction is split into
+    ceil(|s| / delta) pieces of equal strength (`_piece_count`), each moving
+    at the family's eigenvalue at its left edge.  Each piece is integrated
+    from the right state of the piece before it, and the last piece ends on
+    `right` exactly.  The first piece takes the speed at the wave's left
+    edge, so eigenvalues are computed at the interior edges only.  Returns
+    the fronts and their rows.
     """
-    fam, kind = wave.family, wave.kind
-    n_pieces = _piece_count(wave.strength, st.params.delta, fam, n_fronts, kind)
+    fam, kind, strength, _, speed = wave
+    n_pieces = _piece_count(strength, st.params.delta, fam, n_fronts, kind)
     if kind != RAREFACTION:
-        return [Front(st.new_uid(), fam, kind, wave.strength, wave.left, wave.right,
-                      float(wave.speed), x, t)]
+        return ([Front(st.new_uid(), fam, kind, strength, left[0], right[0], speed, x, t)],
+                [_row(left[1], right[1], x, speed, t, right[2])])
     model = st.params.model
-    piece = wave.strength / n_pieces
-    fronts = []
-    left, speed = wave.left, float(wave.speed[0])
+    piece = strength / n_pieces
+    fronts, rows = [], []
+    speed = speed[0]
     for _ in range(n_pieces - 1):
-        right = wc.rarefaction(fam, left, piece, model).state
-        fronts.append(Front(st.new_uid(), fam, kind, piece, left, right, speed, x, t))
-        left, speed = right, float(eigenvalues(right, model)[fam - 1])
-    fronts.append(Front(st.new_uid(), fam, kind, piece, left, wave.right, speed, x, t))
-    return fronts
+        U = wc.rarefaction(fam, left[0], piece, model).state
+        edge = (U, U.tolist(), _norm(U))
+        fronts.append(Front(st.new_uid(), fam, kind, piece, left[0], U, speed, x, t))
+        rows.append(_row(left[1], edge[1], x, speed, t, edge[2]))
+        left, speed = edge, _ordered_eigen(*edge[1], model.eta)[fam - 1]
+    fronts.append(Front(st.new_uid(), fam, kind, piece, left[0], right[0], speed, x, t))
+    rows.append(_row(left[1], right[1], x, speed, t, right[2]))
+    return fronts, rows
 
 
-def _fan_fronts(st: TrackerState, fan, U_right, x: float, t: float, n_fronts: int) -> list:
-    """The fronts of every wave of `fan`, born at (x, t), the last ending on U_right.
+def _solved_fronts(st: TrackerState, U_left: np.ndarray, last: tuple, x: float, t: float,
+                   n_fronts: int) -> tuple:
+    """The fronts and rows of the Riemann fan from U_left to the state `last`, born at (x, t).
 
-    n_fronts other fronts stay live beside them, which `_piece_count` counts
-    against MAX_FRONTS with the fronts of the waves before.  Pinning the
-    outermost state keeps the front chain exact: the solver residual
-    (~1e-16) moves into the last jump.
+    `last` is the right state as (array, three floats, |state|), which the
+    caller holds.  The fan comes from `riemann._solve_fan` as Python floats,
+    and each of its interior states becomes one array.  The last front ends on
+    `last` itself: pinning the outermost state keeps the front chain exact,
+    as the solver residual (~1e-16) moves into the last jump.  n_fronts
+    other fronts stay live beside them, which `_piece_count` counts against
+    MAX_FRONTS with the fronts of the waves before.
     """
-    fronts = []
-    for wave in fan.waves:
-        fronts += _emit_fronts(st, wave, x, t, n_fronts + len(fronts))
-    if fronts:
-        fronts[-1].right = U_right
-    return fronts
+    waves = _solve_fan(U_left, last[0], st.params.model)[0]
+    fronts, rows = [], []
+    left = (U_left, U_left.tolist(), None)
+    for k, wave in enumerate(waves):
+        if k == len(waves) - 1:
+            right = last
+        else:
+            U = np.array(wave[3])
+            right = (U, wave[3], _norm(U))
+        new_fronts, new_rows = _emit_fronts(st, wave, left, right, x, t, n_fronts + len(fronts))
+        fronts += new_fronts
+        rows += new_rows
+        left = right
+    return fronts, rows
 
 
 def _check_positions(jumps) -> None:
@@ -258,10 +284,10 @@ def init_from_piecewise(
     chain is exactly consistent with the input data.  A jump whose fan is
     empty (every wave at most TOL_ZERO) emits nothing, and the next fan
     starts from the last emitted state, so it absorbs the dropped jump.
-    The rows of the fronts are built once, when the fronts are spliced into
-    the new state.  The positions must be finite and strictly increasing,
-    and every state must lie in the unit ball |U| < 1 (DomainError before
-    any solve).
+    Each front's row is built with it, from the solver's floats, and all
+    are spliced into the new state at once.  The positions must be finite
+    and strictly increasing, and every state must lie in the unit ball
+    |U| < 1 (DomainError before any solve).
     """
     U_leftmost = as_state(U_leftmost)
     _check_positions(jumps)
@@ -275,22 +301,23 @@ def init_from_piecewise(
         fronts=[],
         left_boundary_state=U_leftmost,
     )
-    fronts = []
+    fronts, rows = [], []
     current = U_leftmost
     for k, (x, U) in enumerate(jumps):
         try:
-            fan = solve_riemann(current, U, model)
+            new_fronts, new_rows = _solved_fronts(st, current, (U, U.tolist(), _norm(U)),
+                                                  float(x), 0.0, len(fronts))
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"initialization failed at jump {k} (x={x}): {exc}",
                 iterate=exc.iterate,
                 residual=exc.residual,
             ) from exc
-        new_fronts = _fan_fronts(st, fan, U, float(x), 0.0, len(fronts))
         if new_fronts:
             current = U
-        fronts.extend(new_fronts)
-    _splice(st, 0, 0, fronts, _rows_for(fronts))
+        fronts += new_fronts
+        rows += new_rows
+    _splice(st, 0, 0, fronts, rows)
     return st
 
 
@@ -356,12 +383,13 @@ def resolve_collision(st: TrackerState, candidate: CollisionCandidate) -> Tracke
     Exactly two incoming fronts, of family 3 then family 1, pass through
     each other (see the module docstring): `_cross` returns the two outgoing
     fronts and their rows without a Riemann solve.  Every other collision is
-    resolved by `solve_riemann`, and `_rows_for` gives the rows of its
-    fronts.  In both cases the left state is kept and the right neighbour's
-    left state stays exactly shared across the event; one `_splice` puts the
-    outgoing fronts and their rows in place of the incoming ones, and one
-    `CollisionEvent` records both kinds of event from the incoming and
-    outgoing fronts (a crossing is classified "other").
+    solved by `_solved_fronts`, which builds the fronts and rows of the fan
+    from the solver's floats and ends it on the kept right state and its
+    kept norm.  In both cases the left state is kept and the right
+    neighbour's left state stays exactly shared across the event; one
+    `_splice` puts the outgoing fronts and their rows in place of the
+    incoming ones, and one `CollisionEvent` records both kinds of event from
+    the incoming and outgoing fronts (a crossing is classified "other").
     """
     indices = candidate.indices
     start, stop = indices[0], indices[-1] + 1
@@ -371,10 +399,10 @@ def resolve_collision(st: TrackerState, candidate: CollisionCandidate) -> Tracke
     if families == [3, 1]:
         new_fronts, new_rows = _cross(st, start, *incoming, x, t)
     else:
-        U_right = incoming[-1].right
-        fan = solve_riemann(incoming[0].left, U_right, st.params.model)
-        new_fronts = _fan_fronts(st, fan, U_right, x, t, len(st.fronts) - len(incoming))
-        new_rows = _rows_for(new_fronts)
+        row = _front_rows(st)[stop - 1]
+        last = (incoming[-1].right, row[_RIGHT], row[_NORM])
+        new_fronts, new_rows = _solved_fronts(st, incoming[0].left, last, x, t,
+                                              len(st.fronts) - len(incoming))
     _splice(st, start, stop, new_fronts, new_rows)
     for f in incoming:
         f.death_t = t
@@ -444,14 +472,6 @@ def _rows_for(fronts: list) -> list:
     """The rows of the fronts, in the columns above."""
     return [_row(f.left.tolist(), f.right.tolist(), f.birth_x, f.speed, f.birth_t, _norm(f.right))
             for f in fronts]
-
-
-def _norm(U: np.ndarray) -> float:
-    """|U| with the bits of `np.linalg.norm(U)`, which is sqrt(U.dot(U)) for a state.
-
-    Half the cost of the call, which checks its arguments first.
-    """
-    return float(np.sqrt(U.dot(U)))
 
 
 def _rebuild_rows(st: TrackerState) -> None:

@@ -19,9 +19,15 @@ iteration in s1 on Python floats: each evaluation of g costs one middle
 wave (a Newton solve on one state array, or an adaptive Dormand-Prince
 integration on floats) and a few float operations.  At eta = 0 the 2-curve
 is affine in (u, w) on both branches, so g is affine and the first secant
-step lands: three middle-wave evaluations per solve.  The state arrays of
-the fan, and the eigenvalues that give the wave speeds, are built once,
-after convergence.
+step lands: three middle-wave evaluations per solve.
+
+The solve runs in two layers.  The core, `_solve_fan`, takes two finite
+state arrays and returns the kept waves as Python floats: family, kind,
+strength, right state and speed, with the speeds from the eigenvalues of
+`flux._ordered_eigen` at the fan's states.  The front tracker builds its
+fronts from these floats directly.  The public `solve_riemann` validates its
+inputs, notes states outside the unit ball and builds the `Wave`s and the
+`RiemannFan` from what the core returns, one state array per wave.
 """
 
 from dataclasses import dataclass
@@ -30,7 +36,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from . import wavecurves as wc
-from .flux import ModelParams, as_state, eigenvalues, in_unit_ball
+from .flux import ModelParams, _norm, _ordered_eigen, as_state, in_unit_ball
+# bound only for the bench tracer, which wraps it here (ROADMAP item 17)
+from .flux import eigenvalues  # noqa: F401
 
 TOL_ZERO = 1e-13
 SOLVER_TOL = 1e-12
@@ -117,11 +125,38 @@ def solve_riemann(Ul, Ur, params: ModelParams) -> RiemannFan:
     for name, U in (("left", Ul), ("right", Ur)):
         if not in_unit_ball(U):
             notes.append(f"{name} state outside the unit ball |U| < 1")
+    kept, strengths, iterations, C = _solve_fan(Ul, Ur, params)
+    waves = []
+    left = Ul
+    for fam, kind, s, right, speed in kept:
+        right = np.array(right)
+        waves.append(Wave(family=fam, kind=kind, strength=s, left=left, right=right, speed=speed))
+        left = right
+    return RiemannFan(
+        left_state=Ul,
+        waves=tuple(waves),
+        strengths=strengths,
+        residual=_norm(np.array(C) - Ur),
+        params=params,
+        iterations=iterations,
+        warnings=tuple(notes),
+    )
 
+
+def _solve_fan(Ul: np.ndarray, Ur: np.ndarray, params: ModelParams) -> tuple:
+    """The fan of `solve_riemann` between two finite state arrays, as Python floats.
+
+    Returns (waves, (s1, s2, s3), iterations, U_C) where each kept wave is
+    (family, kind, strength, right state, speed) with the right state three
+    floats, and U_C is the composed right state.  The speeds come from
+    `_ordered_eigen` at the fan's states, which raises HyperbolicityError
+    where they are not strictly ordered.  The states are not checked against
+    the unit ball here.
+    """
     ul, vl, wl = Ul.tolist()
     ur, vr, wr = Ur.tolist()
     s2 = vr - vl
-    scale = 1.0 + float(np.linalg.norm(Ur[[0, 2]]))
+    scale = 1.0 + _norm(Ur[[0, 2]])
 
     def compose(s1: float):
         # U_A = Ul + s1 r1(v_l) and U_C = U_B + s3 r3(v_B), term by term as the
@@ -161,29 +196,19 @@ def solve_riemann(Ul, Ur, params: ModelParams) -> RiemannFan:
             residual=abs(g),
         )
 
-    UC = np.array(C)
-    kept = [(fam, s, right) for fam, s, right in ((1, s1, A), (2, s2, B), (3, s3, UC))
+    kept = [(fam, s, right) for fam, s, right in ((1, s1, A), (2, s2, B), (3, s3, C))
             if abs(s) > TOL_ZERO]
     waves = []
-    left = Ul
-    lam_left = eigenvalues(Ul, params).tolist() if kept else None
+    eta = params.eta
+    lam_left = _ordered_eigen(ul, vl, wl, eta) if kept else None
     for fam, s, right in kept:
-        right = np.asarray(right)
-        lam_right = eigenvalues(right, params).tolist()
+        lam_right = _ordered_eigen(*right, eta)
         kind = classify(fam, s, params)
         lam_l, lam_r = lam_left[fam - 1], lam_right[fam - 1]
         speed = (lam_l, lam_r) if kind == RAREFACTION else 0.5 * (lam_l + lam_r)
-        waves.append(Wave(family=fam, kind=kind, strength=s, left=left, right=right, speed=speed))
-        left, lam_left = right, lam_right
-    return RiemannFan(
-        left_state=Ul,
-        waves=tuple(waves),
-        strengths=(s1, s2, s3),
-        residual=float(np.linalg.norm(UC - Ur)),
-        params=params,
-        iterations=iterations,
-        warnings=tuple(notes),
-    )
+        waves.append((fam, kind, s, right, speed))
+        lam_left = lam_right
+    return waves, (s1, s2, s3), iterations, C
 
 
 def _sample_rarefaction(wave: Wave, xi: float, params: ModelParams) -> np.ndarray:

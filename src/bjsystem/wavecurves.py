@@ -39,6 +39,7 @@ from .flux import (  # noqa: F401  (r2_direction is re-exported)
     ModelParams,
     _from_line_coords,
     _line_coords,
+    _norm,
     _r2_line_at,
     as_state,
     eigenvalues,
@@ -89,7 +90,7 @@ def _curve_warnings(state, gamma=0.0):
     notes = []
     if abs(gamma) >= SPEED_WARN:
         notes.append("2-shock speed |2v+s| >= 3: approaching the singular locus at 4")
-    if np.linalg.norm(state) >= 1.0:
+    if _norm(state) >= 1.0:
         notes.append("curve point left the unit ball |U| < 1")
     return tuple(notes)
 
@@ -112,9 +113,8 @@ def hugoniot_matrix(vbar: float, s: float) -> np.ndarray:
 
 def rh_residual(left, right, speed: float, params: ModelParams) -> float:
     """Rankine-Hugoniot residual |F(right) - F(left) - speed (right - left)|."""
-    return float(np.linalg.norm(
-        flux_fn(right, params) - flux_fn(left, params) - speed * (right - left)
-    ))
+    R = flux_fn(right, params) - flux_fn(left, params) - speed * (right - left)
+    return _norm(R.ravel())  # over every entry: a batch of states gives one norm
 
 
 def hugoniot2_closed_form(base, s: float) -> CurvePoint:
@@ -153,11 +153,11 @@ def _hugoniot2(base, s, params):
     def residual(uw):
         state = np.array([uw[0], base[1] + s, uw[1]])
         R = flux_fn(state, params) - F_base - gamma * (state - base)
-        return state, R, float(np.linalg.norm(R))
+        return state, R, _norm(R)
 
     state, R, r_norm = residual(uw)
     if params.eta > 0.0:
-        scale = 1.0 + float(np.linalg.norm(F_base))
+        scale = 1.0 + _norm(F_base)
         for _ in range(NEWTON_MAX_ITER):
             if r_norm <= 1e-15 * scale:
                 break

@@ -10,6 +10,9 @@ rarefaction is integrated by a fixed-step RK4 on state arrays with
 The tracker's observables are recomputed by a plain loop over the fronts, and
 its next collision by one Python call per neighbour pair; the L1 distance of
 two tracker solutions is summed exactly over the merged front positions.
+The fronts and rows of a solved tracker event are assembled from the public
+`solve_riemann` fan, its `Wave`s, `Front`s and rows gathered from the fronts'
+arrays.
 Shock speeds are fitted to the Rankine-Hugoniot condition by least squares.
 The Riemann problem is solved by the same secant in s1 as the library's, but
 every trial state is a (3,) array composed through `wave_fan_curve`, and each
@@ -423,6 +426,92 @@ def observables_loop(st):
         integrals=tuple(integrals),
         balance=tuple(balance),
     )
+
+
+def fan_fronts(st, fan, U_right, x, t, n_fronts):
+    """The fronts of every wave of a public `RiemannFan`, born at (x, t), the last on U_right.
+
+    Each shock or contact is one `Front`; each rarefaction is cut into
+    `fronttrack._piece_count` pieces integrated by `wave_fan_curve`'s
+    `rarefaction` from the piece before, with speeds from `eigenvalues` at
+    their left edges.  The last front's right state is then set to U_right.
+    """
+    fronts = []
+    for wave in fan.waves:
+        fam, kind = wave.family, wave.kind
+        n_pieces = ft._piece_count(wave.strength, st.params.delta, fam, n_fronts + len(fronts),
+                                   kind)
+        if kind != rm.RAREFACTION:
+            fronts.append(ft.Front(st.new_uid(), fam, kind, wave.strength, wave.left, wave.right,
+                                   float(wave.speed), x, t))
+            continue
+        model = st.params.model
+        piece = wave.strength / n_pieces
+        left, speed = wave.left, float(wave.speed[0])
+        for _ in range(n_pieces - 1):
+            right = wc.rarefaction(fam, left, piece, model).state
+            fronts.append(ft.Front(st.new_uid(), fam, kind, piece, left, right, speed, x, t))
+            left, speed = right, float(fx.eigenvalues(right, model)[fam - 1])
+        fronts.append(ft.Front(st.new_uid(), fam, kind, piece, left, wave.right, speed, x, t))
+    if fronts:
+        fronts[-1].right = U_right
+    return fronts
+
+
+def rows_for(fronts):
+    """The tracker rows of the fronts, from their arrays, with |right| by `np.linalg.norm`."""
+    return [
+        f.right.tolist()
+        + [f.birth_x, f.speed, f.birth_t, f.birth_x - f.speed * f.birth_t,
+           float(np.linalg.norm(f.right))]
+        + np.abs(f.right - f.left).tolist()
+        for f in fronts
+    ]
+
+
+def init_fronts(jumps, U_leftmost, model, delta):
+    """The fronts and rows of `fronttrack.init_from_piecewise` from public solves.
+
+    Every jump is solved by `riemann.solve_riemann` and its fan turned into
+    fronts by `fan_fronts`; a jump whose fan is empty emits nothing and the
+    next solve starts from the last emitted state.
+    """
+    st = ft.TrackerState(params=ft.TrackerParams(model=model, delta=delta), time=0.0,
+                         fronts=[], left_boundary_state=U_leftmost)
+    fronts = []
+    current = U_leftmost
+    for x, U in jumps:
+        new = fan_fronts(st, rm.solve_riemann(current, U, model), U, float(x), 0.0, len(fronts))
+        if new:
+            current = U
+        fronts += new
+    return fronts, rows_for(fronts)
+
+
+def solved_event(st, candidate):
+    """The outgoing fronts, their rows and the `CollisionEvent` of a solved collision.
+
+    The colliding fronts' outer states are solved by `riemann.solve_riemann`,
+    turned into fronts by `fan_fronts` and into rows by `rows_for`.  The
+    uids are drawn from st and given back, so the tracker's own resolve of
+    the same candidate draws the same ones.
+    """
+    start, stop = candidate.indices[0], candidate.indices[-1] + 1
+    incoming = st.fronts[start:stop]
+    x, t = candidate.position, candidate.time
+    next_uid = st._next_uid
+    fan = rm.solve_riemann(incoming[0].left, incoming[-1].right, st.params.model)
+    fronts = fan_fronts(st, fan, incoming[-1].right, x, t, len(st.fronts) - len(incoming))
+    st._next_uid = next_uid
+    families = sorted(f.family for f in incoming)
+    classification = {(2, 2): "22", (1, 2): "12", (2, 3): "23"}.get(tuple(families), "other")
+    event = ft.CollisionEvent(
+        len(st.event_log), t, x, candidate.front_ids,
+        tuple((f.family, f.strength) for f in incoming),
+        tuple((f.family, f.strength, f.kind, f.speed) for f in fronts),
+        classification,
+    )
+    return fronts, rows_for(fronts), event
 
 
 def _pair_collision_time(left, right, now):

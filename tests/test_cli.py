@@ -230,7 +230,7 @@ def test_fronttrack_failed_event_leaves_the_partial_log(tmp_path, capsys, monkey
     write_fronttrack_scenario(scenario, jumps, U0)
     # three solves at init and one at the first event; the second event fails
     calls = []
-    solve = ft.solve_riemann
+    solve = ft._solve_fan
 
     def failing_solve(*args):
         calls.append(args)
@@ -238,7 +238,7 @@ def test_fronttrack_failed_event_leaves_the_partial_log(tmp_path, capsys, monkey
             raise ConvergenceError("synthetic failure", residual=1.0)
         return solve(*args)
 
-    monkeypatch.setattr(ft, "solve_riemann", failing_solve)
+    monkeypatch.setattr(ft, "_solve_fan", failing_solve)
     prefix = tmp_path / "run"
     code = run_cli("fronttrack", "--scenario", str(scenario), "--out", str(prefix))
     assert code == 2

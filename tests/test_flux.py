@@ -6,6 +6,7 @@ of `oracles` (roots of the characteristic cubic, SVD null vectors, finite
 differences of the roots) for the closed-form eigenstructure.
 """
 
+import struct
 import warnings
 
 import numpy as np
@@ -238,6 +239,51 @@ def test_eigenvalues_raise_where_families_cross():
     lam, ok = fx.eigenvalues_batch(U[None, :], ModelParams(0.0))
     assert np.array_equal(lam[0], [-4.0, 5.0, 4.0])
     assert not ok[0]
+
+
+@pytest.mark.parametrize("eta", [0.0, 1e-3, 0.05, 0.2, 0.2499])
+def test_float_eigenvalues_equal_the_array_ones_bit_for_bit(eta):
+    params = ModelParams(eta)
+    U = oracles.ball_sample(np.random.default_rng(30), 2000, 0.999)
+    lam_batch, ok = fx.eigenvalues_batch(U, params)
+    assert np.all(ok)
+    for state, row in zip(U, lam_batch):
+        lam = fx._ordered_eigen(*state.tolist(), eta)
+        assert type(lam) is tuple and all(type(x) is float for x in lam)
+        assert np.array(lam).tobytes() == row.tobytes() == fx.eigenvalues(state, params).tobytes()
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return info.value
+
+
+@pytest.mark.parametrize("eta, state, error", [
+    (0.0, [0.0, 2.5, 0.0], HyperbolicityError),  # families 2 and 3 crossed
+    (0.2, [0.0, 2.5, 0.0], HyperbolicityError),
+    (0.0, [np.inf, 0.0, 0.0], DomainError),  # ordered eigenvalues at a non-finite state
+    (0.1, [0.0, np.nan, 0.0], DomainError),
+])
+def test_float_eigenvalues_raise_the_error_of_eigenvalues(eta, state, error):
+    U = np.array(state)
+    ref = _raised(fx.eigenvalues, U, ModelParams(eta))
+    got = _raised(fx._ordered_eigen, *U.tolist(), eta)
+    assert type(got) is type(ref) is error
+    assert str(got) == str(ref)
+    if error is HyperbolicityError:
+        assert np.array_equal(got.state, ref.state)
+
+
+def test_norm_equals_numpy_norm_bit_for_bit():
+    U = oracles.ball_sample(np.random.default_rng(31), 20000, 0.999)
+    U = np.vstack([U, [[0.0, 0.0, 0.0], [-0.0, 1e-300, 0.0], [1.0, 0.0, 0.0], [0.6, 0.0, 0.8]]])
+    for state in U:
+        for vec in (state, state[[0, 2]]):
+            norm = fx._norm(vec)
+            assert type(norm) is float
+            assert struct.pack("<d", norm) == struct.pack("<d", np.linalg.norm(vec))
+    assert fx.in_unit_ball([0.6, 0.0, 0.7]) and not fx.in_unit_ball((0.6, 0.0, 0.9))
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.01, 0.1, 0.2, 0.2499])

@@ -83,6 +83,20 @@ def test_init_empty_fan_keeps_the_chain_exact():
     assert st.fronts[-1].right is U3
 
 
+def _emit_wave(st, wave):
+    """`ft._emit_fronts` of a fan `Wave` born at (0, 0) with no other live front.
+
+    Checks that the rows it returns are bit-equal to `_rows_for` of its fronts.
+    """
+    def end(U):
+        return U, U.tolist(), float(np.linalg.norm(U))
+
+    core_wave = (wave.family, wave.kind, wave.strength, wave.right.tolist(), wave.speed)
+    fronts, rows = ft._emit_fronts(st, core_wave, end(wave.left), end(wave.right), 0.0, 0.0, 0)
+    oracles.assert_bit_equal(rows, ft._rows_for(fronts))
+    return fronts
+
+
 def test_emit_fronts_integrates_each_piece_from_the_previous_one(monkeypatch):
     params = ModelParams(0.05)
     base = np.array([0.1, -0.05, 0.1])
@@ -102,7 +116,7 @@ def test_emit_fronts_integrates_each_piece_from_the_previous_one(monkeypatch):
         return rhs(*args)
 
     monkeypatch.setattr(wc, "_r2_line_at", counting_rhs)
-    fronts = ft._emit_fronts(st, wave, 0.0, 0.0, 0)
+    fronts = _emit_wave(st, wave)
     monkeypatch.undo()
     assert len(fronts) == 100
     assert len(calls) <= 7 * len(fronts)
@@ -131,7 +145,7 @@ def test_init_rejects_unsorted_positions():
 def test_init_refuses_a_state_outside_the_ball_before_any_solve(monkeypatch, u_left, jumps,
                                                                 named):
     solves = []
-    monkeypatch.setattr(ft, "solve_riemann", lambda *args: solves.append(args))
+    monkeypatch.setattr(ft, "_solve_fan", lambda *args: solves.append(args))
     with pytest.raises(DomainError) as err:
         ft.init_from_piecewise(jumps, u_left, ModelParams(0.2))
     assert str(err.value) == named
@@ -207,7 +221,7 @@ def test_a_rarefaction_above_the_piece_limit_raises_before_any_piece(monkeypatch
         for module, name in ((wc, "rarefaction"), (ft, "Front"), (ft, "ScalarFront")):
             patch.setattr(module, name, no_piece)
         with pytest.raises(DomainError, match=message):
-            ft._emit_fronts(st, wave, 0.0, 0.0, 0)
+            _emit_wave(st, wave)
         with pytest.raises(DomainError, match=message):
             ft.burgers_oracle(0.0, [(0.0, 5e-3)], 1.0, delta=1e-12)
     with pytest.raises(DomainError, match=message):
@@ -558,7 +572,7 @@ def test_run_names_the_event_that_failed(monkeypatch):
     def failing_solve(*args):
         raise HyperbolicityError("synthetic failure")
 
-    monkeypatch.setattr(ft, "solve_riemann", failing_solve)
+    monkeypatch.setattr(ft, "_solve_fan", failing_solve)
     with pytest.raises(TrackerEventError) as info:
         ft.run(st, 1e4)
     exc = info.value
@@ -659,13 +673,19 @@ def _shock_run(seed=812, n_shocks=42):
     return jumps, U0, params
 
 
-def _rarefaction_run(delta=2e-3):
-    """One weak 3-wave followed by eleven 2-rarefactions of 5e-3, 2.5 delta at the default."""
+def _rarefaction_data():
+    """One weak 3-wave followed by eleven 2-rarefactions of 5e-3 at eta = 1e-3."""
     params = ModelParams(1e-3)
     rng = np.random.default_rng(813)
     layout = [(3, 1e-3)] + [(2, 5e-3)] * 11
     U0 = np.array([0.2, 0.0, -0.2])
-    return ft.init_from_piecewise(_seeded_jumps(rng, U0, layout, params), U0, params, delta=delta)
+    return _seeded_jumps(rng, U0, layout, params), U0, params
+
+
+def _rarefaction_run(delta=2e-3):
+    """The tracker of `_rarefaction_data`, whose 2-rarefactions are 2.5 delta at the default."""
+    jumps, U0, params = _rarefaction_data()
+    return ft.init_from_piecewise(jumps, U0, params, delta=delta)
 
 
 # least fitted order of the delta ladder below; it measured 0.74 (step orders 0.85, 0.54, 0.89)
@@ -803,6 +823,35 @@ def _assert_rows_fresh(st, norms=None):
     assert all(type(t) is float for t in st._meet)
     kept = np.array(st._meet)
     assert kept.shape == meet.shape and kept.tobytes() == meet.tobytes()
+
+
+@pytest.mark.parametrize("run, n_events", [("shock", 1000), ("rarefaction", 300)])
+def test_solved_events_equal_the_public_fan_assembly(run, n_events):
+    # the tracker builds its fronts and rows from the floats of `riemann._solve_fan`;
+    # the oracle builds them from `solve_riemann`'s fan, its Waves and the fronts' arrays
+    jumps, U0, params = _shock_run() if run == "shock" else _rarefaction_data()
+    delta = ft.DELTA_DEFAULT if run == "shock" else 2e-3
+    st = ft.init_from_piecewise(jumps, U0, params, delta=delta)
+    fronts, rows = oracles.init_fronts(jumps, U0, params, delta)
+    oracles.assert_bit_equal(st.fronts, fronts, "init fronts")
+    oracles.assert_bit_equal(st._rows, rows, "init rows")
+    oracles.assert_bit_equal(st._meet, ft._meet_times(rows), "init meeting times")
+    solved = 0
+    for n in range(n_events):
+        cand = ft.next_collision(st)
+        start, stop = cand.indices[0], cand.indices[-1] + 1
+        if [st.fronts[i].family for i in cand.indices] == [3, 1]:
+            ft.resolve_collision(st, cand)
+            continue
+        fronts, rows, event = oracles.solved_event(st, cand)
+        rows = st._rows[:start] + rows + st._rows[stop:]
+        ft.resolve_collision(st, cand)
+        oracles.assert_bit_equal(st.fronts[start : start + len(fronts)], fronts, f"event {n}")
+        oracles.assert_bit_equal(st._rows, rows, f"rows after event {n}")
+        oracles.assert_bit_equal(st._meet, ft._meet_times(rows), f"meeting times after {n}")
+        oracles.assert_bit_equal(st.event_log[-1], event, f"event {n}")
+        solved += 1
+    assert 0 < solved < n_events
 
 
 def _count_rebuilds(monkeypatch):
@@ -1112,7 +1161,7 @@ def test_crossings_make_no_riemann_solve_and_no_row_gather(monkeypatch):
         monkeypatch.setattr(ft, name, counted)
 
     count("_rows_for")
-    count("solve_riemann")
+    count("_solve_fan")
     count("_splice")
     while (cand := ft.next_collision(st)) is not None:
         f3, f1 = (st.fronts[i] for i in cand.indices)
@@ -1146,7 +1195,7 @@ def test_every_event_makes_one_splice_and_gathers_rows_only_after_a_solve(monkey
 
         monkeypatch.setattr(ft, name, counted)
 
-    for name in ("_rows_for", "_splice", "_cross"):
+    for name in ("_rows_for", "_solve_fan", "_splice", "_cross"):
         count(name)
     kinds = set()
     for _ in range(100):
@@ -1154,7 +1203,7 @@ def test_every_event_makes_one_splice_and_gathers_rows_only_after_a_solve(monkey
         crossing = [st.fronts[i].family for i in cand.indices] == [3, 1]
         calls.clear()
         ft.resolve_collision(st, cand)
-        assert calls == (["_cross", "_splice"] if crossing else ["_rows_for", "_splice"])
+        assert calls == (["_cross", "_splice"] if crossing else ["_solve_fan", "_splice"])
         kinds.add(crossing)
     assert kinds == {True, False}
     _assert_rows_fresh(st)

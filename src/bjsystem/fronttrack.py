@@ -8,7 +8,9 @@ intersection times come from the exact linear motion rather than mutated
 positions.  A tracker holds at most MAX_FRONTS live fronts: a wave whose
 fronts, a rarefaction's pieces or one shock or contact front, would take the
 fronts already live or emitted past that limit is refused before any of its
-fronts is built.
+fronts is built.  Each interior piece edge of a rarefaction comes from
+`wavecurves._curve_state`, the one place where a curve point is computed,
+applied to the floats of the edge before it.
 
 A collision is resolved with the exact Riemann solver.  The solver's core,
 `riemann._solve_fan`, returns the fan as Python floats, and `_solved_fronts`
@@ -65,6 +67,7 @@ the system run must reproduce it exactly.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,9 +190,11 @@ def _piece_count(strength: float, delta: float, family: int, n_fronts: int,
     A rarefaction becomes ceil(|strength| / delta) pieces, at least 1, and a
     shock or contact one front.  Raises DomainError, before any front is
     built, when they and the n_fronts fronts already live or emitted would
-    be more than MAX_FRONTS.
+    be more than MAX_FRONTS, also when |strength| / delta overflows to inf.
     """
-    n_pieces = np.ceil(abs(strength) / delta) if kind == RAREFACTION else 1
+    n_pieces = abs(strength) / delta if kind == RAREFACTION else 1
+    if n_pieces != math.inf:  # inf for a delta near the smallest float, refused below
+        n_pieces = math.ceil(n_pieces)
     if n_fronts + n_pieces > MAX_FRONTS:
         need = f"{n_pieces:.3g} pieces of size delta = {delta!r}" if n_pieces > 1 else "1 front"
         raise DomainError(
@@ -197,7 +202,7 @@ def _piece_count(strength: float, delta: float, family: int, n_fronts: int,
             f"{n_fronts} fronts already live or emitted is more than the {MAX_FRONTS} fronts "
             f"a run may hold"
         )
-    return max(1, int(n_pieces))
+    return max(1, n_pieces)
 
 
 def _emit_fronts(st: TrackerState, wave: tuple, left: tuple, right: tuple, x: float, t: float,
@@ -209,11 +214,11 @@ def _emit_fronts(st: TrackerState, wave: tuple, left: tuple, right: tuple, x: fl
     (array, three floats, |state| by `_norm`).  A shock or contact is one
     front at the wave's speed.  A rarefaction is split into
     ceil(|s| / delta) pieces of equal strength (`_piece_count`), each moving
-    at the family's eigenvalue at its left edge.  Each piece is integrated
-    from the right state of the piece before it, and the last piece ends on
-    `right` exactly.  The first piece takes the speed at the wave's left
-    edge, so eigenvalues are computed at the interior edges only.  Returns
-    the fronts and their rows.
+    at the family's eigenvalue at its left edge.  Each piece edge is
+    `wavecurves._curve_state` of the floats of the edge before it, one array
+    per edge, and the last piece ends on `right` exactly.  The first piece
+    takes the speed at the wave's left edge, so eigenvalues are computed at
+    the interior edges only.  Returns the fronts and their rows.
     """
     fam, kind, strength, _, speed = wave
     n_pieces = _piece_count(strength, st.params.delta, fam, n_fronts, kind)
@@ -225,11 +230,11 @@ def _emit_fronts(st: TrackerState, wave: tuple, left: tuple, right: tuple, x: fl
     fronts, rows = [], []
     speed = speed[0]
     for _ in range(n_pieces - 1):
-        U = wc.rarefaction(fam, left[0], piece, model).state
-        edge = (U, U.tolist(), _norm(U))
+        edge = wc._curve_state(fam, False, *left[1], piece, model)
+        U = np.array(edge)
         fronts.append(Front(st.new_uid(), fam, kind, piece, left[0], U, speed, x, t))
-        rows.append(_row(left[1], edge[1], x, speed, t, edge[2]))
-        left, speed = edge, _ordered_eigen(*edge[1], model.eta)[fam - 1]
+        rows.append(_row(left[1], edge, x, speed, t, _norm(U)))
+        left, speed = (U, edge, None), _ordered_eigen(*edge, model.eta)[fam - 1]
     fronts.append(Front(st.new_uid(), fam, kind, piece, left[0], right[0], speed, x, t))
     rows.append(_row(left[1], right[1], x, speed, t, right[2]))
     return fronts, rows

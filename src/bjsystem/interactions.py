@@ -386,25 +386,24 @@ def contraction_solve_12(sc: Interaction12Scenario) -> ContractionResult:
     where F stacks the p1/p3 second differences over the states
     U'_m = Ul + sigma' (1,0,v_l) and U''_m = Ur - tau' (1,0,v_r-2), until a
     step is at most CONTRACTION_TOL, for at most CONTRACTION_MAX_ITER steps.
+    Ur = Um + sigma (1,0,v_m), U'_m and U''_m are points of the outer wave
+    curves, taken from `wavecurves._curve_state`.
     Reports the largest successive-step ratio and the empirical ball constant
     max |X_n - X0| / (eta sigma s).
     """
     params = ModelParams(sc.eta)
     Ul = sc.Ul
-    v_l = Ul[1]
     Um = wc.wave_fan_curve(2, Ul, sc.s, params).state
-    v_m = Um[1]
-    Ur = Um + sc.sigma * wc.r1_direction(v_m)
+    Ur = wc._curve_state(1, False, *Um.tolist(), sc.sigma, params)
 
     cf = closed_form_12_eta0(Ul, sc.s, sc.sigma)
     x0 = np.array([cf.sigma_prime, cf.tau_prime])
-    a_inv = linear_system_matrix_inv(v_l, sc.s)
-    r1 = wc.r1_direction(v_l)
-    r3 = wc.r3_direction(v_m)
+    a_inv = linear_system_matrix_inv(Ul[1], sc.s)
+    left = Ul.tolist()
 
     def apply_map(x):
-        u_prime = Ul + x[0] * r1
-        u_second = Ur - x[1] * r3
+        u_prime = wc._curve_state(1, False, *left, x[0], params)
+        u_second = wc._curve_state(3, False, *Ur, -x[1], params)
         f_vec = np.array(
             [
                 p1(u_second) - p1(Um) - p1(u_prime) + p1(Ul),

@@ -17,9 +17,11 @@ and what remains is the scalar equation g(s1) = w_C - w_r = 0, which in
 exact arithmetic is g = 2 (alpha_B - alpha_r).  It is solved by a secant
 iteration in s1 on Python floats: each evaluation of g costs one middle
 wave (a Newton solve on one state array, or an adaptive Dormand-Prince
-integration on floats) and a few float operations.  At eta = 0 the 2-curve
-is affine in (u, w) on both branches, so g is affine and the first secant
-step lands: three middle-wave evaluations per solve.
+integration on floats) and a few float operations.  U_A, U_B and U_C all
+come from `wavecurves._curve_state`, the one place where a curve point is
+computed, with the 2-shock branch where s2 < 0 (`wavecurves.shock_side`).
+At eta = 0 the 2-curve is affine in (u, w) on both branches, so g is affine
+and the first secant step lands: three middle-wave evaluations per solve.
 
 The solve runs in two layers.  The core, `_solve_fan`, takes two finite
 state arrays and returns the kept waves as Python floats: family, kind,
@@ -156,21 +158,14 @@ def _solve_fan(Ul: np.ndarray, Ur: np.ndarray, params: ModelParams) -> tuple:
     ul, vl, wl = Ul.tolist()
     ur, vr, wr = Ur.tolist()
     s2 = vr - vl
+    shock2 = wc.shock_side(2, s2)
     scale = 1.0 + _norm(Ur[[0, 2]])
 
     def compose(s1: float):
-        # U_A = Ul + s1 r1(v_l) and U_C = U_B + s3 r3(v_B), term by term as the
-        # array sums form them: v + s * 0.0 keeps their signed zeros
-        A = (ul + s1, vl + s1 * 0.0, wl + s1 * vl)
-        if s2 == 0.0:
-            B = A
-        elif s2 < 0.0:  # a 2-shock
-            B = wc._hugoniot2(np.array(A), s2, params).state.tolist()
-        else:
-            uB, wB = wc._rarefaction2(*A, s2, params.eta)
-            B = (uB, A[1] + s2, wB)
+        A = wc._curve_state(1, False, ul, vl, wl, s1, params)
+        B = wc._curve_state(2, shock2, *A, s2, params)
         s3 = ur - B[0]
-        C = (B[0] + s3, B[1] + s3 * 0.0, B[2] + s3 * (B[1] - 2.0))
+        C = wc._curve_state(3, False, *B, s3, params)
         return s1, s3, A, B, C, C[2] - wr
 
     stop = 1e-15 * scale

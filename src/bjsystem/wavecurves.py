@@ -27,6 +27,16 @@ outer families and for any other pair of states.
 
 Sign conventions: shocks sit at s < 0 for families 1 and 2 and at s > 0 for
 family 3 (reversed orientation of the third field).
+
+`_curve_state` is the one place where a point of D1, D2 or D3 is computed:
+it maps three Python floats and s to the three floats of the curve point,
+the straight lines in place and family 2 through `_hugoniot2` or
+`_rarefaction2`, with no checks, no `CurvePoint` and no warnings.  The
+public `rarefaction` and the family-1 and family-3 `hugoniot` (and so
+`wave_fan_curve`), the Riemann solver's composition, the tracker's
+rarefaction pieces and the 1-2 contraction all take their states from it;
+the family-2 `hugoniot` returns the `CurvePoint` of `_hugoniot2` itself,
+with its Newton residual.
 """
 
 from dataclasses import dataclass
@@ -35,7 +45,7 @@ from math import ulp
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularCurveError
-from .flux import (  # noqa: F401  (r2_direction is re-exported)
+from .flux import (
     ModelParams,
     _from_line_coords,
     _line_coords,
@@ -44,9 +54,10 @@ from .flux import (  # noqa: F401  (r2_direction is re-exported)
     as_state,
     eigenvalues,
     jacobian,
-    r2_direction,
 )
 from .flux import flux as flux_fn
+# bound only for the bench tracer, which wraps it here (ROADMAP item 17)
+from .flux import r2_direction  # noqa: F401
 
 RARE_TOL = 1e-14
 SPEED_WARN = 3.0
@@ -67,17 +78,26 @@ class CurvePoint:
     warnings: tuple = ()
 
 
-def r1_direction(v: float) -> np.ndarray:
-    return np.array([1.0, 0.0, v])
+def _curve_state(fam: int, shock: bool, u: float, v: float, w: float, s: float,
+                 params: ModelParams) -> tuple:
+    """The point at parameter s on the family-`fam` curve through (u, v, w), as three floats.
 
-
-def r3_direction(v: float) -> np.ndarray:
-    return np.array([1.0, 0.0, v - 2.0])
-
-
-def _line_point(fam: int, base: np.ndarray, s: float) -> np.ndarray:
-    """The state at parameter s on the straight family-1 or family-3 line through base."""
-    return base + s * (r1_direction(base[1]) if fam == 1 else r3_direction(base[1]))
+    Families 1 and 3 move along their straight lines, term by term as the
+    array sum base + s r_fam forms it, so v + s * 0.0 keeps its signed zero;
+    each line is both of its family's branches, so they ignore `shock`.
+    Family 2 takes the Hugoniot branch `_hugoniot2` when `shock` is true and
+    the rarefaction branch `_rarefaction2` otherwise; at s = 0 it returns the
+    state itself.  No input is checked and no warning is noted: the caller
+    holds a finite state.
+    """
+    if fam != 2:
+        return u + s, v + s * 0.0, w + s * (v if fam == 1 else v - 2.0)
+    if s == 0.0:
+        return u, v, w
+    if shock:
+        return tuple(_hugoniot2(np.array([u, v, w]), s, params).state.tolist())
+    u_end, w_end = _rarefaction2(u, v, w, s, params.eta)
+    return u_end, v + s, w_end
 
 
 def _check_family(fam: int):
@@ -187,7 +207,7 @@ def hugoniot(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
     base = as_state(base)
     if fam == 2:
         return _hugoniot2(base, s, params)
-    state = _line_point(fam, base, s)
+    state = np.array(_curve_state(fam, True, *base.tolist(), float(s), params))
     # lambda_fam is affine along its straight line: the shock speed is the mean
     speed = 0.5 * float(eigenvalues(base, params)[fam - 1] + eigenvalues(state, params)[fam - 1])
     return CurvePoint(
@@ -280,15 +300,12 @@ def rarefaction(fam: int, base, s: float, params: ModelParams) -> CurvePoint:
     base = as_state(base)
     if s == 0.0:
         return CurvePoint(state=base.copy(), speed=float(eigenvalues(base, params)[fam - 1]))
-    if fam in (1, 3):
-        state = _line_point(fam, base, s)
-        speed = float(eigenvalues(state, params)[fam - 1])
-        return CurvePoint(state=state, speed=speed, warnings=_curve_warnings(state))
-    u, w = _rarefaction2(*base.tolist(), float(s), params.eta)
-    y = np.array([u, base[1] + s, w])
-    speed = 2.0 * y[1]  # middle eigenvalue is exactly 2v
-    return CurvePoint(state=y, speed=speed,
-                      warnings=_curve_warnings(y, 2.0 * base[1] + s))
+    state = np.array(_curve_state(fam, False, *base.tolist(), float(s), params))
+    if fam == 2:  # the middle eigenvalue is exactly 2v
+        return CurvePoint(state=state, speed=2.0 * state[1],
+                          warnings=_curve_warnings(state, 2.0 * base[1] + s))
+    speed = float(eigenvalues(state, params)[fam - 1])
+    return CurvePoint(state=state, speed=speed, warnings=_curve_warnings(state))
 
 
 def wave_fan_curve(fam: int, base, s: float, params: ModelParams) -> CurvePoint:

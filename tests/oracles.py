@@ -14,9 +14,13 @@ The fronts and rows of a solved tracker event are assembled from the public
 `solve_riemann` fan, its `Wave`s, `Front`s and rows gathered from the fronts'
 arrays.
 Shock speeds are fitted to the Rankine-Hugoniot condition by least squares.
+The public curve functions are kept with every family-1 and family-3 state
+formed as an array sum base + s r, and the outer lines and the eta = 0
+2-shock are computed again in exact rationals.
 The Riemann problem is solved by the same secant in s1 as the library's, but
-every trial state is a (3,) array composed through `wave_fan_curve`, and each
-wave takes its speed from two `eigenvalues` calls of its own.
+every trial state is a (3,) array composed through those array curve
+functions, and each wave takes its speed from two `eigenvalues` calls of its
+own.
 The family-2 Hugoniot Newton is kept with the halving line search that the
 library's full-step rule replaced.
 The flux at eta = 0 is linear in (u, w) with a 2x2 matrix of v, and the 1-2
@@ -29,6 +33,7 @@ dataclasses, tuples and lists down to arrays and floats.
 import dataclasses
 import heapq
 import struct
+from fractions import Fraction
 
 import numpy as np
 
@@ -295,6 +300,73 @@ def closed_form_rarefaction2(base, s):
     return np.array([alpha + beta, v, v * (alpha + beta) - 2.0 * beta])
 
 
+def line_point(fam, base, s):
+    """The state at parameter s on the straight family-1 or family-3 line through base.
+
+    The array sum base + s r_fam with r_1 = (1, 0, v) and r_3 = (1, 0, v - 2)
+    at the v of base, on (3,) arrays.
+    """
+    v = base[1]
+    return base + s * np.array([1.0, 0.0, v if fam == 1 else v - 2.0])
+
+
+def hugoniot_arrays(fam, base, s, params):
+    """`wavecurves.hugoniot` with a family-1 or family-3 state from `line_point`."""
+    base = fx.as_state(base)
+    if fam == 2:
+        return wc._hugoniot2(base, s, params)
+    state = line_point(fam, base, s)
+    speed = 0.5 * float(fx.eigenvalues(base, params)[fam - 1]
+                        + fx.eigenvalues(state, params)[fam - 1])
+    return wc.CurvePoint(state=state, speed=speed,
+                         residual=wc.rh_residual(base, state, speed, params),
+                         warnings=wc._curve_warnings(state))
+
+
+def rarefaction_arrays(fam, base, s, params):
+    """`wavecurves.rarefaction` with each state formed on (3,) arrays.
+
+    A family-1 or family-3 state is `line_point`; a family-2 state takes
+    (u, w) from `_rarefaction2` and v = vb + s as an array entry.
+    """
+    base = fx.as_state(base)
+    if s == 0.0:
+        return wc.CurvePoint(state=base.copy(), speed=float(fx.eigenvalues(base, params)[fam - 1]))
+    if fam != 2:
+        state = line_point(fam, base, s)
+        return wc.CurvePoint(state=state, speed=float(fx.eigenvalues(state, params)[fam - 1]),
+                             warnings=wc._curve_warnings(state))
+    u, w = wc._rarefaction2(*base.tolist(), float(s), params.eta)
+    state = np.array([u, base[1] + s, w])
+    return wc.CurvePoint(state=state, speed=2.0 * state[1],
+                         warnings=wc._curve_warnings(state, 2.0 * base[1] + s))
+
+
+def wave_fan_curve_arrays(fam, base, s, params):
+    """`wavecurves.wave_fan_curve` through `hugoniot_arrays` and `rarefaction_arrays`."""
+    branch = hugoniot_arrays if wc.shock_side(fam, s) else rarefaction_arrays
+    return branch(fam, base, s, params)
+
+
+def exact_curve_state_eta0(fam, base, s):
+    """The point at s on the family-`fam` curve through base at eta = 0, in exact rationals.
+
+    Families 1 and 3 are the lines base + s (1, 0, v) and base + s (1, 0, v - 2);
+    family 2 is the 2-shock closed form v -> v + s, (u, w) -> (u, w) + E(v, s) (u, w)
+    with E = 4 s / ((2 v + s)^2 - 16) [[s + 4 - 2 v, 4], [(s + 4)(s - 2) + 4 v, 3 s - 4 + 2 v]].
+    Every float of base and s is taken at its exact value, and the result is
+    three `Fraction`s, without rounding.
+    """
+    u, v, w = (Fraction(x) for x in base)
+    s = Fraction(s)
+    if fam != 2:
+        return u + s, v, w + s * (v if fam == 1 else v - 2)
+    k = 4 * s / ((2 * v + s) ** 2 - 16)
+    return (u + k * ((s + 4 - 2 * v) * u + 4 * w),
+            v + s,
+            w + k * (((s + 4) * (s - 2) + 4 * v) * u + (3 * s - 4 + 2 * v) * w))
+
+
 def make_wave(fam, strength, left, right, params):
     """A fan wave from its end states, with speeds from two `eigenvalues` calls."""
     kind = rm.classify(fam, strength, params)
@@ -309,8 +381,9 @@ def solve_riemann_arrays(Ul, Ur, params):
     """`riemann.solve_riemann` with every trial state composed on (3,) arrays.
 
     Each trial s1 gives U_A on the straight 1-line, U_B = D2[s2, U_A] from
-    `wave_fan_curve` and U_C on the straight 3-line through U_B.  The secant,
-    its start, its stopping rule and its errors are the library's.
+    `wave_fan_curve_arrays` and U_C on the straight 3-line through U_B, so no
+    state comes from `wavecurves._curve_state`.  The secant, its start, its
+    stopping rule and its errors are the library's.
     """
     Ul = fx.as_state(Ul)
     Ur = fx.as_state(Ur)
@@ -324,10 +397,10 @@ def solve_riemann_arrays(Ul, Ur, params):
     scale = 1.0 + float(np.linalg.norm(Ur[[0, 2]]))
 
     def compose(s1):
-        UA = wc._line_point(1, Ul, s1)
-        UB = wc.wave_fan_curve(2, UA, s2, params).state if s2 != 0.0 else UA
+        UA = line_point(1, Ul, s1)
+        UB = wave_fan_curve_arrays(2, UA, s2, params).state if s2 != 0.0 else UA
         s3 = float(ur - UB[0])
-        UC = wc._line_point(3, UB, s3)
+        UC = line_point(3, UB, s3)
         return s1, s3, UA, UB, UC, float(UC[2] - wr)
 
     stop = 1e-15 * scale

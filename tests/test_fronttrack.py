@@ -128,6 +128,30 @@ def test_emit_fronts_integrates_each_piece_from_the_previous_one(monkeypatch):
         assert np.max(np.abs(f.right - wc.rarefaction(2, base, k * wave.strength / 100, params).state)) <= 1e-13
 
 
+@pytest.mark.parametrize("fam, strength", [(1, 0.03), (2, 0.03), (3, -0.03)])
+def test_emit_fronts_edges_equal_the_chain_of_public_rarefactions(fam, strength):
+    # each piece edge is the public `rarefaction` of the edge before it, bit for bit
+    params = ModelParams(0.05)
+    base = np.array([0.1, -0.05, 0.1])
+    right = wc.rarefaction(fam, base, strength, params).state
+    wave = oracles.make_wave(fam, strength, base, right, params)
+    assert wave.kind == rm.RAREFACTION
+    st = ft.TrackerState(
+        params=ft.TrackerParams(model=params, delta=1e-3),
+        time=0.0,
+        fronts=[],
+        left_boundary_state=base,
+    )
+    fronts = _emit_wave(st, wave)
+    assert len(fronts) >= 30 and fronts[0].left is base and fronts[-1].right is right
+    edge = base
+    for f, f_next in zip(fronts, fronts[1:]):
+        assert f_next.left is f.right and f.strength == strength / len(fronts)
+        oracles.assert_bit_equal(f.speed, float(eigenvalues(edge, params)[fam - 1]))
+        edge = wc.rarefaction(fam, edge, f.strength, params).state
+        oracles.assert_bit_equal(f.right, edge)
+
+
 def test_init_rejects_unsorted_positions():
     with pytest.raises(DomainError):
         ft.init_from_piecewise([(1.0, np.zeros(3)), (0.0, np.zeros(3))], np.zeros(3), P0)
@@ -226,6 +250,35 @@ def test_a_rarefaction_above_the_piece_limit_raises_before_any_piece(monkeypatch
             ft.burgers_oracle(0.0, [(0.0, 5e-3)], 1.0, delta=1e-12)
     with pytest.raises(DomainError, match=message):
         ft.init_from_piecewise([(0.0, U1)], U0, params, delta=1e-12)
+
+
+def test_a_rarefaction_whose_piece_count_overflows_is_refused_before_any_piece(monkeypatch):
+    # |strength| / delta = 5e-3 / 5e-324 is inf: refused with the count, never rounded up
+    params = ModelParams(1e-3)
+    U0 = np.array([0.2, 0.0, -0.2])
+    U1 = wc.rarefaction(2, U0, 5e-3, params).state
+    wave = oracles.make_wave(2, 5e-3, U0, U1, params)
+    st = ft.TrackerState(
+        params=ft.TrackerParams(model=params, delta=5e-324),
+        time=0.0,
+        fronts=[],
+        left_boundary_state=U0,
+    )
+    message = r"2-rarefaction of strength 0\.005 needs inf pieces of size delta = 5e-324, "
+
+    def no_piece(*args, **kwargs):
+        raise AssertionError("a piece was built")
+
+    with monkeypatch.context() as patch:
+        for module, name in ((wc, "_curve_state"), (wc, "rarefaction"), (ft, "Front"),
+                             (ft, "ScalarFront")):
+            patch.setattr(module, name, no_piece)
+        with pytest.raises(DomainError, match=message):
+            _emit_wave(st, wave)
+        with pytest.raises(DomainError, match=message):
+            ft.burgers_oracle(0.0, [(0.0, 5e-3)], 1.0, delta=5e-324)
+    with pytest.raises(DomainError, match=message):
+        ft.init_from_piecewise([(0.0, U1)], U0, params, delta=5e-324)
 
 
 def test_collision_time_head_on():

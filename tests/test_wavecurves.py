@@ -5,6 +5,7 @@ that starts from the base state (never from the closed form itself).
 """
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -457,3 +458,85 @@ def test_only_family2_points_carry_the_2_shock_speed_warning(v):
         assert point.warnings == (
             "2-shock speed |2v+s| >= 3: approaching the singular locus at 4", ball,
         )
+
+
+KERNEL_ETAS = [0.0, 1e-3, 0.05, 0.2, 0.2499]
+# states with signed zeros: v + s * 0.0 must keep the sign the array sum gives
+SIGNED_ZERO_STATES = [(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (0.1, -0.0, -0.0), (-0.0, -0.0, 0.2)]
+
+
+def _kernel_cases(seed):
+    """(state as three floats, s): 12 seeded states of |U| < 0.9 and the signed-zero
+    states, each with s of both signs, log-uniform in [1e-4, 0.1], and s = +-0.0."""
+    rng = np.random.default_rng(seed)
+    states = [tuple(U) for U in oracles.ball_sample(rng, 12, 0.9).tolist()] + SIGNED_ZERO_STATES
+    cases = []
+    for U in states:
+        sizes = np.exp(rng.uniform(np.log(1e-4), np.log(0.1), 2)).tolist()
+        cases += [(U, s) for s in (-sizes[0], sizes[1], 0.0, -0.0)]
+    return cases
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the library error it raises."""
+    try:
+        return fn(*args)
+    except (ConvergenceError, DomainError, SingularCurveError) as exc:
+        return type(exc), str(exc)
+
+
+def _kernel_reference(fam, shock, U, s, params):
+    """The point of `_curve_state` from the expressions it replaced, as three floats."""
+    if fam != 2:
+        return tuple(oracles.line_point(fam, np.array(U), s).tolist())
+    if shock:
+        return tuple(wc._hugoniot2(np.array(U), s, params).state.tolist())
+    if s == 0.0:
+        return U
+    u, w = wc._rarefaction2(*U, s, params.eta)
+    return u, U[1] + s, w
+
+
+@pytest.mark.parametrize("eta", KERNEL_ETAS)
+def test_curve_state_equals_the_array_and_family2_expressions_bit_for_bit(eta):
+    params = ModelParams(eta)
+    for U, s in _kernel_cases(int(1e4 * eta)):
+        for fam in (1, 2, 3):
+            for shock in (True, False):
+                oracles.assert_bit_equal(
+                    _outcome(wc._curve_state, fam, shock, *U, s, params),
+                    _outcome(_kernel_reference, fam, shock, U, s, params),
+                    f"fam {fam}, shock {shock}, U {U}, s {s!r}",
+                )
+
+
+@pytest.mark.parametrize("eta", KERNEL_ETAS)
+def test_public_curve_points_equal_the_array_forms_bit_for_bit(eta):
+    params = ModelParams(eta)
+    for U, s in _kernel_cases(int(1e4 * eta) + 1):
+        for fam in (1, 2, 3):
+            for public, arrays in ((wc.hugoniot, oracles.hugoniot_arrays),
+                                   (wc.rarefaction, oracles.rarefaction_arrays),
+                                   (wc.wave_fan_curve, oracles.wave_fan_curve_arrays)):
+                oracles.assert_bit_equal(
+                    _outcome(public, fam, np.array(U), s, params),
+                    _outcome(arrays, fam, np.array(U), s, params),
+                    f"{public.__name__} fam {fam}, U {U}, s {s!r}",
+                )
+
+
+@pytest.mark.parametrize("fam", [1, 2, 3])
+def test_curve_state_matches_the_exact_rational_curve_at_eta0(fam):
+    # the outer lines and the 2-shock closed form in exact rationals; the
+    # rounding of the float kernel stays within 2 eps (1 + |U|) per component
+    rng = np.random.default_rng(40 + fam)
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for U in oracles.ball_sample(rng, 1000, 0.9).tolist():
+        s = float(rng.uniform(-0.1, 0.1))
+        exact = oracles.exact_curve_state_eta0(fam, U, s)
+        point = wc._curve_state(fam, True, *U, s, P0)
+        scale = 1.0 + float(np.linalg.norm([float(x) for x in exact]))
+        error = max(abs(Fraction(x) - e) for x, e in zip(point, exact))
+        worst = max(worst, float(error) / (eps * scale))
+    assert worst <= 2.0
